@@ -10,8 +10,8 @@ of the route about to start.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import backend as B
 from .instance import Instance
@@ -52,10 +52,6 @@ def assignment_from_json(text: str) -> Assignment:
         starts=tuple(r["start"] for r in rows),
         ends=tuple(r["end"] for r in rows),
     )
-
-
-def _ceil_frac(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
 
 
 def route_meta(inst: Instance, route: Route) -> RouteMeta:
@@ -104,8 +100,8 @@ def assign(
     for i, meta_i in enumerate(metas):
         for j in range(i + 1, len(metas)):
             meta_j = metas[j]
-            gap_i = _ceil_frac(charge * meta_i.length)
-            gap_j = _ceil_frac(charge * meta_j.length)
+            gap_i = math.ceil(charge * meta_i.length)
+            gap_j = math.ceil(charge * meta_j.length)
             for v in inst.fleet.vehicles:
                 ctx.add(
                     B.implies(

@@ -8,9 +8,8 @@ assignment, and scheduling models need:
   side may be absent, giving unary bounds);
 * clauses over boolean and difference literals;
 * cardinality constraints ``exactly_n`` over boolean sets;
-* ``ite`` terms folding booleans into linear expressions;
-* minimization of a linear objective over booleans plus at most one
-  integer variable.
+* minimization of a linear objective over booleans (``k * b`` weighs a
+  boolean ``b`` by ``k``); integer terms are rejected.
 
 The engine behind :meth:`SolverContext.check_minimize` is a DPLL-style
 search with cardinality propagation and an incremental difference-logic
@@ -24,8 +23,7 @@ A context is single-threaded; distinct contexts may be used concurrently.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 from .engine import Engine, EngineSpec
@@ -159,14 +157,6 @@ class LinExpr:
 
     __rmul__ = __mul__
 
-    def bounds(self) -> tuple[int, int]:
-        lo = hi = self.const
-        for var, coeff in self.terms.items():
-            vlo, vhi = (0, 1) if isinstance(var, BoolRef) else (var.lo, var.hi)
-            lo += coeff * (vlo if coeff > 0 else vhi)
-            hi += coeff * (vhi if coeff > 0 else vlo)
-        return lo, hi
-
     def _difference(self) -> tuple[IntRef | None, IntRef | None, int]:
         """Split into (plus_var, minus_var, const); difference form only."""
         plus = minus = None
@@ -291,35 +281,6 @@ def exactly_n(vars: Iterable[BoolRef], n: int) -> Cardinality:
     return Cardinality(vs, n)
 
 
-def ite(cond: BoolRef | Literal, then, other) -> LinExpr:
-    """Linear term equal to ``then`` when cond holds, else ``other``.
-
-    Constant arms fold directly into an affine term; variable arms are
-    supported through a fresh bridging integer constrained on both sides.
-    """
-    cond = _as_literal(cond)
-    then_e = LinExpr.of(then)
-    other_e = LinExpr.of(other)
-    if not then_e.terms and not other_e.terms:
-        a, b = then_e.const, other_e.const
-        base = LinExpr({cond.base: a - b}, b) if a != b else LinExpr({}, a)
-        if cond.positive or a == b:
-            return base
-        # not c ? a : b  ==  a + b - (c ? a : b)
-        return LinExpr({cond.base: b - a}, a)
-    if not isinstance(cond.base, BoolRef):
-        raise UnsupportedExpression("ite over variable arms requires a boolean condition")
-    ctx = cond.base.ctx
-    lo = min(then_e.bounds()[0], other_e.bounds()[0])
-    hi = max(then_e.bounds()[1], other_e.bounds()[1])
-    bridge = ctx.int_var(f"__ite{ctx._fresh()}", lo, hi)
-    ctx.add(implies(cond, bridge - then_e <= 0))
-    ctx.add(implies(cond, then_e - bridge <= 0))
-    ctx.add(implies(~cond, bridge - other_e <= 0))
-    ctx.add(implies(~cond, other_e - bridge <= 0))
-    return LinExpr({bridge: 1}, 0)
-
-
 class Status(enum.Enum):
     SAT = "sat"
     UNSAT = "unsat"
@@ -340,9 +301,6 @@ class Model:
             return self._ints[ref.index]
         raise KeyError(ref)
 
-    def value(self, expr) -> int:
-        return evaluate_expr(expr, self)
-
 
 @dataclass
 class CheckResult:
@@ -359,12 +317,7 @@ class SolverContext:
         self.ints: list[IntRef] = []
         self.constraints: list[Constraint] = []
         self.objective: LinExpr | None = None
-        self.last_model: Model | None = None
         self._names: set[str] = set()
-        self._counter = itertools.count()
-
-    def _fresh(self) -> int:
-        return next(self._counter)
 
     def _register(self, name: str) -> None:
         if name in self._names:
@@ -392,7 +345,10 @@ class SolverContext:
             raise BackendError(f"not a constraint: {constraint!r}")
 
     def minimize(self, expr) -> None:
-        self.objective = LinExpr.of(expr)
+        objective = LinExpr.of(expr)
+        if any(isinstance(var, IntRef) for var in objective.terms):
+            raise UnsupportedExpression("objectives may weigh booleans only, not integers")
+        self.objective = objective
 
     # -- solving ---------------------------------------------------------
 
@@ -411,7 +367,6 @@ class SolverContext:
             return CheckResult(Status.UNSAT)
         model = self._extract(engine)
         if self.objective is None:
-            self.last_model = model
             return CheckResult(Status.SAT, model)
 
         best = model
@@ -426,7 +381,6 @@ class SolverContext:
                 break
             best = self._extract(engine)
             best_value = evaluate_expr(self.objective, best)
-        self.last_model = best
         return CheckResult(Status.SAT, best, best_value)
 
     def _compile(self) -> EngineSpec:
@@ -456,74 +410,20 @@ class SolverContext:
 
     def _compile_objective(self, spec: EngineSpec) -> None:
         assert self.objective is not None
-        int_terms: list[tuple[int, int]] = []
         bool_terms: list[tuple[int, int]] = []
         shift = self.objective.const
         for var, coeff in self.objective.terms.items():
-            if isinstance(var, IntRef):
-                int_terms.append((var.index + 1, coeff))
+            # Negative coefficients flip to the negated literal.
+            if coeff > 0:
+                bool_terms.append((var.index * 2, coeff))
             else:
-                # Negative boolean coefficients flip to the negated literal.
-                if coeff > 0:
-                    bool_terms.append((var.index * 2, coeff))
-                else:
-                    bool_terms.append((var.index * 2 + 1, -coeff))
-                    shift += coeff
-        if len(int_terms) > 1 or (int_terms and int_terms[0][1] <= 0):
-            raise UnsupportedExpression(
-                "objective may contain at most one integer variable, with a positive coefficient"
-            )
-        spec.set_objective(bool_terms, int_terms[0] if int_terms else None, shift)
+                bool_terms.append((var.index * 2 + 1, -coeff))
+                shift += coeff
+        spec.set_objective(bool_terms, shift)
 
     def _extract(self, engine: Engine) -> Model:
         bools, ints = engine.model()
         return Model(bools, ints[1 : len(self.ints) + 1])
-
-    # -- debug dump ------------------------------------------------------
-
-    def to_smtlib(self) -> str:
-        """Concrete SMT-LIB 2 rendering for cross-checking with other tools."""
-
-        def sym(name: str) -> str:
-            safe = all(c.isalnum() or c in "_.-" for c in name) and name and not name[0].isdigit()
-            return name if safe else f"|{name}|"
-
-        def expr_s(e: LinExpr) -> str:
-            parts = [str(e.const)] if e.const or not e.terms else []
-            for var, coeff in e.terms.items():
-                v = f"(ite {sym(var.name)} 1 0)" if isinstance(var, BoolRef) else sym(var.name)
-                parts.append(v if coeff == 1 else f"(* {coeff} {v})")
-            return parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
-
-        def atom_s(a: Atom) -> str:
-            lhs = sym(a.x.name) if a.x else "0"
-            rhs = sym(a.y.name) if a.y else "0"
-            return f"(<= (- {lhs} {rhs}) {a.k})"
-
-        def lit_s(l: Literal) -> str:
-            base = sym(l.base.name) if isinstance(l.base, BoolRef) else atom_s(l.base)
-            return base if l.positive else f"(not {base})"
-
-        lines = ["(set-logic QF_LIA)"]
-        for b in self.bools:
-            lines.append(f"(declare-fun {sym(b.name)} () Bool)")
-        for i in self.ints:
-            lines.append(f"(declare-fun {sym(i.name)} () Int)")
-            lines.append(f"(assert (and (<= {i.lo} {sym(i.name)}) (<= {sym(i.name)} {i.hi})))")
-        for c in self.constraints:
-            if isinstance(c, Atom):
-                lines.append(f"(assert {atom_s(c)})")
-            elif isinstance(c, Clause):
-                body = lit_s(c.literals[0]) if len(c.literals) == 1 else \
-                    "(or " + " ".join(lit_s(l) for l in c.literals) + ")"
-                lines.append(f"(assert {body})")
-            else:
-                total = "(+ " + " ".join(f"(ite {sym(v.name)} 1 0)" for v in c.vars) + ")"
-                lines.append(f"(assert (= {total} {c.n}))")
-        if self.objective is not None:
-            lines.append(f"(minimize {expr_s(self.objective)})")
-        lines.append("(check-sat)")
-        return "\n".join(lines) + "\n"
 
 
 # -- independent evaluation (used by tests as the soundness oracle) -------

@@ -5,9 +5,10 @@ cardinality propagation, first-UIP clause learning) combined with an
 incremental difference-logic theory: every assigned difference literal
 asserts one weighted edge, feasibility is maintained through potential
 repair, and an infeasible assertion yields the offending cycle as a
-conflict clause.  Optimization runs as branch-and-bound on the objective
-bound, reusing learned clauses across bounds (sound because bounds only
-tighten, so the constraint set only grows).
+conflict clause.  Optimization minimizes a weighted sum of boolean
+literals by branch-and-bound on its bound, propagated from the running sum
+of true literals, and reuses learned clauses across bounds (sound because
+bounds only tighten, so the constraint set only grows).
 
 Literal encoding is MiniSat-style: variable ``v`` has positive literal
 ``2*v`` and negative literal ``2*v + 1``.  Boolean variables come first,
@@ -32,7 +33,6 @@ class EngineSpec:
         self.clauses: list[list[int]] = []
         self.cards: list[tuple[list[int], int]] = []
         self.obj_bool_terms: list[tuple[int, int]] = []
-        self.obj_int_term: tuple[int, int] | None = None
         self.obj_shift = 0
         self.has_objective = False
 
@@ -64,9 +64,8 @@ class EngineSpec:
         members = list(dict.fromkeys(bool_vars))
         self.cards.append((members, n))
 
-    def set_objective(self, bool_terms, int_term, shift) -> None:
+    def set_objective(self, bool_terms, shift) -> None:
         self.obj_bool_terms = bool_terms
-        self.obj_int_term = int_term
         self.obj_shift = shift
         self.has_objective = True
 
@@ -216,22 +215,11 @@ class Engine:
             for v in members:
                 self.card_occ[v].append(card)
 
-        # Objective bookkeeping for branch-and-bound.  EO groups fully inside
-        # the objective sharpen the lower bound: each such group must end up
-        # contributing at least its cheapest open member.
+        # Objective bookkeeping for branch-and-bound: the weight of each
+        # objective literal and the running weight of those on the trail.
         self.pb_coeff: dict[int, int] = dict(spec.obj_bool_terms)
         self.pb_bound: int | None = None
         self.pb_sum_true = 0
-        self.pb_groups: list[list[tuple[int, int]]] = []
-        grouped: set[int] = set()
-        for members, n in spec.cards:
-            if n != 1:
-                continue
-            lits = [m * 2 for m in members]
-            if all(l in self.pb_coeff for l in lits) and not any(l in grouped for l in lits):
-                self.pb_groups.append([(l, self.pb_coeff[l]) for l in lits])
-                grouped.update(lits)
-        self.pb_ungrouped = [(l, c) for l, c in self.pb_coeff.items() if l not in grouped]
 
         self._init_done = False
 
@@ -285,10 +273,9 @@ class Engine:
                 card.count_true += 1
             else:
                 card.count_false += 1
-        if self.pb_bound is not None:
-            coeff = self.pb_coeff.get(lit)
-            if coeff is not None:
-                self.pb_sum_true += coeff
+        coeff = self.pb_coeff.get(lit)
+        if coeff is not None:
+            self.pb_sum_true += coeff
         return conflict
 
     def _backtrack(self, level: int) -> None:
@@ -405,27 +392,6 @@ class Engine:
                         return conflict
         return None
 
-    def _pb_state(self) -> tuple[int, list[int]]:
-        lb = 0
-        group_contrib: list[int] = []
-        for group in self.pb_groups:
-            best_true = None
-            best_open = None
-            for lit, coeff in group:
-                v = self.assigns[lit >> 1]
-                if v == 1:
-                    if best_true is None or coeff < best_true:
-                        best_true = coeff
-                elif v == 0 and (best_open is None or coeff < best_open):
-                    best_open = coeff
-            contrib = best_true if best_true is not None else (best_open or 0)
-            group_contrib.append(contrib)
-            lb += contrib
-        for lit, coeff in self.pb_ungrouped:
-            if self._lit_true(lit):
-                lb += coeff
-        return lb, group_contrib
-
     def _pb_premises(self) -> list[int]:
         out = []
         for lit in self.pb_coeff:
@@ -435,23 +401,11 @@ class Engine:
         return out
 
     def _propagate_pb(self) -> list[int] | None:
-        bound = self.pb_bound
-        lb, group_contrib = self._pb_state()
-        if lb > bound:
-            conflict = self._pb_premises()
-            return conflict
+        slack = self.pb_bound - self.pb_sum_true
+        if slack < 0:
+            return self._pb_premises()
         premises: list[int] | None = None
-        for gi, group in enumerate(self.pb_groups):
-            slack = bound - (lb - group_contrib[gi])
-            for lit, coeff in group:
-                if self.assigns[lit >> 1] == 0 and coeff > slack:
-                    if premises is None:
-                        premises = self._pb_premises()
-                    conflict = self._enqueue(lit ^ 1, [lit ^ 1] + premises)
-                    if conflict is not None:
-                        return conflict
-        slack = bound - lb
-        for lit, coeff in self.pb_ungrouped:
+        for lit, coeff in self.pb_coeff.items():
             if self.assigns[lit >> 1] == 0 and coeff > slack:
                 if premises is None:
                     premises = self._pb_premises()
@@ -586,18 +540,10 @@ class Engine:
             return False
         self._backtrack(0)
         remaining = bound - spec.obj_shift
-        if spec.obj_int_term is not None:
-            node, coeff = spec.obj_int_term
-            limit = remaining // coeff
-            if self.theory.assert_edge(node, 0, -limit, -1) is not None:
-                self.root_conflict = True
-            return True
         if remaining < 0:
             self.root_conflict = True
             return True
         self.pb_bound = remaining
-        # Recompute the running sum for the current (root) trail.
-        self.pb_sum_true = sum(c for l, c in self.pb_coeff.items() if self._lit_true(l))
         return True
 
     def model(self) -> tuple[list[bool], list[int]]:

@@ -6,6 +6,11 @@ length, ties broken lexicographically by node sequence.  The selection
 problem then picks exactly one candidate per pair, minimizing the total
 number of nodes to visit, while excluding combinations already tried in
 earlier iterations.
+
+The objective is a sum of independent per-pair costs, so selection needs
+no search: ranking each pair's candidates by cost and walking the rank
+vectors in order of total cost (Lawler's k-best scheme with a heap)
+yields every combination exactly once, cheapest first.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from . import backend as B
 from .instance import Edge, Graph, Instance
 
 
@@ -61,12 +65,20 @@ class PathCombination:
 
 @dataclass
 class UsedPaths:
-    """Append-only history of combinations already handed downstream."""
+    """Append-only history of combinations already handed downstream.
+
+    It also carries the pathfinder's enumeration frontier for ``table``, so
+    that successive calls resume where the previous one stopped.
+    """
 
     history: list[PathCombination] = field(default_factory=list)
+    keys: set[tuple[int, ...]] = field(default_factory=set)
+    table: PathTable | None = None
+    frontier: list[tuple[int, tuple[int, ...], int]] = field(default_factory=list)
 
     def add(self, combo: PathCombination) -> None:
         self.history.append(combo)
+        self.keys.add(combo.key())
 
     def __len__(self) -> int:
         return len(self.history)
@@ -153,38 +165,37 @@ def enumerate_paths(inst: Instance, max_paths: int = 10) -> PathTable:
     return PathTable(pairs=pairs, candidates=candidates, max_paths=max_paths)
 
 
-def pathfinder(
-    table: PathTable, used: UsedPaths, timeout: float | None = None
-) -> PathCombination | None:
+def pathfinder(table: PathTable, used: UsedPaths) -> PathCombination | None:
     """Cheapest unused combination of one path per pair, or None when spent.
 
-    The cost of a combination is the total node count of its paths; the
-    search backend proves minimality, and combinations recorded in ``used``
-    are excluded through blocking clauses.
-
-    Raises TimeoutError if the backend gives up (callers surface "unknown").
+    The cost of a combination is the total node count of its paths.  Each
+    pair's candidates are ranked by ``(hops, index)``, and rank vectors are
+    popped from a heap in non-decreasing total cost.  A vector's successors
+    raise one rank at or after the position its parent raised, so every
+    vector is pushed exactly once.  The cheapest entry is returned without
+    being popped: it is popped on a later call, once ``used`` holds it.
     """
-    ctx = B.SolverContext()
-    choice: dict[tuple[int, int], list[B.BoolRef]] = {}
-    objective: B.LinExpr = B.LinExpr({}, 0)
-    for a, b in table.pairs:
-        cands = table.candidates[(a, b)]
-        vars_ = [ctx.bool_var(f"path_{a}_{b}_{r}") for r in range(len(cands))]
-        choice[(a, b)] = vars_
-        ctx.add(B.exactly_one(vars_))
-        for var, cand in zip(vars_, cands):
-            objective = objective + B.ite(var, cand.hops, 0)
-    for combo in used:
-        ctx.add(B.clause(*[~choice[pair][combo.selection[pair]] for pair in table.pairs]))
-    ctx.minimize(objective)
-    result = ctx.check_minimize(timeout=timeout)
-    if result.status == B.Status.TIMEOUT:
-        raise TimeoutError("path selection timed out")
-    if result.status == B.Status.UNSAT:
-        return None
-    model = result.model
-    selection = {
-        pair: next(r for r, var in enumerate(vars_) if model[var])
-        for pair, vars_ in choice.items()
-    }
-    return PathCombination(selection=selection, table=table)
+    ranked: list[list[int]] = []
+    costs: list[list[int]] = []
+    for pair in table.pairs:
+        cands = table.candidates[pair]
+        ranked.append(sorted(range(len(cands)), key=lambda r: (cands[r].hops, r)))
+        costs.append([cands[r].hops for r in ranked[-1]])
+    heap = used.frontier
+    if used.table is not table:
+        used.table = table
+        heap.clear()
+        if all(ranked):
+            heap.append((sum(c[0] for c in costs), (0,) * len(ranked), 0))
+    while heap:
+        total, ranks, last = heap[0]
+        selection = tuple(order[r] for order, r in zip(ranked, ranks))
+        if selection not in used.keys:
+            return PathCombination(selection=dict(zip(table.pairs, selection)), table=table)
+        heapq.heappop(heap)
+        for i in range(last, len(ranks)):
+            r = ranks[i] + 1
+            if r < len(ranked[i]):
+                step = costs[i][r] - costs[i][r - 1]
+                heapq.heappush(heap, (total + step, ranks[:i] + (r,) + ranks[i + 1 :], i))
+    return None

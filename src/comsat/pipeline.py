@@ -8,6 +8,11 @@ combination -- unless no route set was ever produced for the current
 combination, in which case the instance is declared infeasible outright,
 because any remaining combination only has longer paths.  Iteration caps
 and timeouts surface as "unknown", never as a false "unsat".
+
+Every stage call goes through one stage runner, which hands the stage its
+share of the remaining time, counts and times the call, and turns an
+exhausted deadline into the same ``TimeoutError`` a stage raises when its
+own budget runs out; ``solve`` maps that to "unknown".
 """
 
 from __future__ import annotations
@@ -78,11 +83,21 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
         stats["wall_time"] = time.monotonic() - started
         return SolveResult(status=status, stats=stats, **kw)
 
-    def stage_budget() -> float | None:
+    def stage(calls: str, clock: str, call):
+        """Count and time ``call(budget)`` with this stage's share of the time left.
+
+        Raises TimeoutError when no time is left, as the stages do when
+        their budget runs out.
+        """
         remaining = deadline - time.monotonic()
         if remaining <= 0:
-            return None
-        return min(cfg.stage_timeout, remaining)
+            raise TimeoutError("solve deadline reached")
+        stats[calls] += 1
+        t0 = time.monotonic()
+        try:
+            return call(min(cfg.stage_timeout, remaining))
+        finally:
+            stats[clock] += time.monotonic() - t0
 
     t0 = time.monotonic()
     table = enumerate_paths(inst, cfg.max_paths)
@@ -90,105 +105,56 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     used = UsedPaths()
     truncated = False
 
-    while True:
-        budget = stage_budget()
-        if budget is None:
+    def exhausted() -> SolveResult:
+        # No combination is left to try: infeasible unless a cap cut the search short.
+        if truncated:
             stats["truncated"] = True
             return out(SolveStatus.UNKNOWN)
-        stats["pathfinder_calls"] += 1
-        t0 = time.monotonic()
-        try:
-            combo = pathfinder(table, used, timeout=budget)
-        except TimeoutError:
-            stats["truncated"] = True
-            return out(SolveStatus.UNKNOWN)
-        finally:
-            stats["time_paths"] += time.monotonic() - t0
-        if combo is None:
-            # Every path combination has been tried.
-            if truncated:
-                stats["truncated"] = True
-                return out(SolveStatus.UNKNOWN)
-            return out(SolveStatus.UNSAT)
-        used.add(combo)
-        stats["combinations"] += 1
-        previous_routes: list[RouteSet] = []
-        iterations = 0
+        return out(SolveStatus.UNSAT)
 
+    try:
         while True:
-            budget = stage_budget()
-            if budget is None:
-                stats["truncated"] = True
-                return out(SolveStatus.UNKNOWN)
-            stats["router_calls"] += 1
-            t0 = time.monotonic()
-            try:
-                routes = router(inst, combo, previous_routes, timeout=budget)
-            except TimeoutError:
-                stats["truncated"] = True
-                return out(SolveStatus.UNKNOWN)
-            finally:
-                stats["time_router"] += time.monotonic() - t0
-            if routes is None:
-                if not previous_routes:
-                    # First routing attempt failed: longer paths cannot help,
-                    # so the verdict is final unless the search was cut short.
-                    if truncated:
-                        stats["truncated"] = True
-                        return out(SolveStatus.UNKNOWN)
-                    return out(SolveStatus.UNSAT)
-                break  # try the next path combination
-            previous_routes.append(routes)
-            iterations += 1
-            stats["router_solutions"] += 1
+            combo = stage("pathfinder_calls", "time_paths", lambda _budget: pathfinder(table, used))
+            if combo is None:
+                return exhausted()
+            used.add(combo)
+            stats["combinations"] += 1
+            previous_routes: list[RouteSet] = []
 
-            budget = stage_budget()
-            if budget is None:
-                stats["truncated"] = True
-                return out(SolveStatus.UNKNOWN)
-            stats["assign_calls"] += 1
-            t0 = time.monotonic()
-            try:
-                asg = assign(inst, routes, timeout=budget)
-            except TimeoutError:
-                stats["truncated"] = True
-                return out(SolveStatus.UNKNOWN)
-            finally:
-                stats["time_assign"] += time.monotonic() - t0
-            if asg is None:
-                if iterations >= cfg.max_route_iters:
-                    truncated = True
-                    break
-                continue
+            while True:
+                routes = stage("router_calls", "time_router",
+                               lambda budget: router(inst, combo, previous_routes, timeout=budget))
+                if routes is None:
+                    if not previous_routes:
+                        # First routing attempt failed: longer paths cannot help.
+                        return exhausted()
+                    break  # try the next path combination
+                previous_routes.append(routes)
+                stats["router_solutions"] += 1
 
-            budget = stage_budget()
-            if budget is None:
-                stats["truncated"] = True
-                return out(SolveStatus.UNKNOWN)
-            stats["scheduler_calls"] += 1
-            t0 = time.monotonic()
-            try:
-                traces = expand_routes(routes, combo, asg)
-                sched = scheduler(
-                    inst, traces, asg,
-                    strict_pairwise=cfg.strict_pairwise_edges,
-                    timeout=budget,
+                asg = stage("assign_calls", "time_assign",
+                            lambda budget: assign(inst, routes, timeout=budget))
+                sched = None if asg is None else stage(
+                    "scheduler_calls", "time_scheduler",
+                    lambda budget: scheduler(
+                        inst, expand_routes(routes, combo, asg), asg,
+                        strict_pairwise=cfg.strict_pairwise_edges,
+                        timeout=budget,
+                    ),
                 )
-            except TimeoutError:
-                stats["truncated"] = True
-                return out(SolveStatus.UNKNOWN)
-            finally:
-                stats["time_scheduler"] += time.monotonic() - t0
-            if sched is None:
-                if iterations >= cfg.max_route_iters:
-                    truncated = True
-                    break
-                continue
+                if sched is None:
+                    if len(previous_routes) >= cfg.max_route_iters:
+                        truncated = True
+                        break
+                    continue
 
-            report = validate(inst, sched, asg)
-            if not report.ok:
-                raise RuntimeError(
-                    "internal error: emitted schedule failed validation: "
-                    + "; ".join(f"{v.kind}{v.entities}" for v in report.violations[:5])
-                )
-            return out(SolveStatus.SAT, schedule=sched, assignment=asg, routes=routes, paths=combo)
+                report = validate(inst, sched, asg)
+                if not report.ok:
+                    raise RuntimeError(
+                        "internal error: emitted schedule failed validation: "
+                        + "; ".join(f"{v.kind}{v.entities}" for v in report.violations[:5])
+                    )
+                return out(SolveStatus.SAT, schedule=sched, assignment=asg, routes=routes, paths=combo)
+    except TimeoutError:
+        stats["truncated"] = True
+        return out(SolveStatus.UNKNOWN)

@@ -14,10 +14,8 @@ they belong to the assignment stage, which knows the actual vehicles.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import backend as B
 from .instance import END_JOB, START_JOB, Instance, Job, transitive_predecessors
@@ -59,53 +57,6 @@ class Route:
 class RouteSet:
     routes: tuple[Route, ...]
     chosen_dirs: tuple[tuple[TaskKey, TaskKey], ...]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "routes": [
-                    {
-                        "visits": [
-                            {"job": v.job, "task": v.task, "arrival": v.arrival}
-                            for v in r.visits
-                        ],
-                        "length": r.length,
-                        "latest_start": r.latest_start,
-                    }
-                    for r in self.routes
-                ]
-            },
-            indent=2,
-        )
-
-
-def route_set_from_json(text: str, inst: Instance, paths: PathCombination) -> RouteSet:
-    """Rebuild a RouteSet emitted by :meth:`RouteSet.to_json`."""
-    data = json.loads(text)
-    routes = []
-    dirs: list[tuple[TaskKey, TaskKey]] = []
-    for body in data["routes"]:
-        visits = []
-        for item in body["visits"]:
-            task = inst.task(item["job"], item["task"])
-            visits.append(
-                Visit(
-                    job=task.job,
-                    task=task.name,
-                    location=task.location,
-                    arrival=item["arrival"],
-                    window_lo=task.window_lo,
-                    window_hi=task.window_hi,
-                )
-            )
-        for a, b in zip(visits, visits[1:]):
-            dirs.append(((a.job, a.task), (b.job, b.task)))
-        routes.append(Route(visits=tuple(visits), length=body["length"], latest_start=body["latest_start"]))
-    return RouteSet(routes=tuple(routes), chosen_dirs=tuple(dirs))
-
-
-def _ceil_frac(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
 
 
 def _precedence_orderings(job: Job) -> list[tuple[str, ...]]:
@@ -164,7 +115,7 @@ def router(
             arcs[(a, b)] = var
             d = dist(a, b)
             ctx.add(B.implies(var, cs[b] - cs[a] >= d))
-            drop = _ceil_frac(discharge * d)
+            drop = math.ceil(discharge * d)
             ctx.add(B.implies(var, rc[a] - rc[b] >= drop))
         return var
 
@@ -233,10 +184,7 @@ def router(
     for old in prev:
         ctx.add(B.clause(*[~arcs[pair] for pair in old.chosen_dirs if pair in arcs]))
 
-    objective = B.LinExpr({}, 0)
-    for t in customers:
-        objective = objective + B.ite(arc(start_key, t), 1, 0)
-    ctx.minimize(objective)
+    ctx.minimize(B.LinExpr({arc(start_key, t): 1 for t in customers}, 0))
 
     result = ctx.check_minimize(timeout=timeout)
     if result.status == B.Status.TIMEOUT:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import backend as B
-from .assignment import Assignment, _ceil_frac
+from .assignment import Assignment
 from .instance import END_JOB, START_JOB, Edge, Instance
 from .paths import PathCombination
 from .routing import RouteSet
@@ -262,7 +262,7 @@ def scheduler(
     for vehicle, items in per_vehicle.items():
         items.sort(key=lambda ti: (traces[ti].start, traces[ti].route_index))
         for earlier, later in zip(items, items[1:]):
-            gap = _ceil_frac(charge * Fraction(route_lengths[later]))
+            gap = math.ceil(charge * route_lengths[later])
             ctx.add(node_vars[later][0] - node_vars[earlier][-1] >= gap)
 
     result = ctx.check_minimize(timeout=timeout)

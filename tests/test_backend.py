@@ -86,7 +86,7 @@ def test_exactly_n_out_of_range_rejected():
 def test_ite_constant_arms():
     ctx = B.SolverContext()
     c = ctx.bool_var("c")
-    expr = B.ite(c, 5, 0)
+    expr = 5 * c
     assert B.evaluate_expr(expr, {c: True}) == 5
     assert B.evaluate_expr(expr, {c: False}) == 0
 
@@ -96,21 +96,32 @@ def test_ite_objective_semantics_hand_model():
     # first candidate of each pair must price the combination at 5.
     ctx = B.SolverContext()
     picks = [ctx.bool_var(f"p{i}") for i in range(4)]
-    objective = (
-        B.ite(picks[0], 3, 0) + B.ite(picks[1], 5, 0)
-        + B.ite(picks[2], 2, 0) + B.ite(picks[3], 4, 0)
-    )
+    objective = 3 * picks[0] + 5 * picks[1] + 2 * picks[2] + 4 * picks[3]
     model = {picks[0]: True, picks[1]: False, picks[2]: True, picks[3]: False}
     assert B.evaluate_expr(objective, model) == 5
 
 
-def test_check_minimize_attains_bound():
+def test_minimize_rejects_integer_objective():
     ctx = B.SolverContext()
     x = ctx.int_var("x", 0, 50)
     ctx.add(x >= 3)
-    ctx.minimize(B.LinExpr({x: 1}, 0))
+    with pytest.raises(B.UnsupportedExpression):
+        ctx.minimize(B.LinExpr({x: 1}, 0))
+    assert ctx.objective is None
+
+
+def test_minimize_rejects_mixed_objective():
+    # Minimizing 10*b + x subject to b or x >= 5 used to loop forever:
+    # only the integer term was bounded, so branch-and-bound kept
+    # re-finding the same model.
+    ctx = B.SolverContext()
+    b = ctx.bool_var("b")
+    x = ctx.int_var("x", 0, 50)
+    ctx.add(B.clause(b, x >= 5))
+    with pytest.raises(B.UnsupportedExpression):
+        ctx.minimize(10 * b + x)
     res = ctx.check_minimize()
-    assert res.status == B.Status.SAT and res.model[x] == 3
+    assert res.status == B.Status.SAT and (res.model[b] or res.model[x] >= 5)
 
 
 def test_check_minimize_contradiction():
@@ -127,9 +138,7 @@ def test_check_minimize_two_pairs_objective_five():
     p2 = [ctx.bool_var("p2a"), ctx.bool_var("p2b")]
     ctx.add(B.exactly_one(p1))
     ctx.add(B.exactly_one(p2))
-    ctx.minimize(
-        B.ite(p1[0], 3, 0) + B.ite(p1[1], 5, 0) + B.ite(p2[0], 2, 0) + B.ite(p2[1], 4, 0)
-    )
+    ctx.minimize(3 * p1[0] + 5 * p1[1] + 2 * p2[0] + 4 * p2[1])
     res = ctx.check_minimize()
     assert res.status == B.Status.SAT and res.objective == 5
 
@@ -157,7 +166,7 @@ def _random_context(rng: random.Random):
             ctx.add(B.clause(*lits))
     objective = B.LinExpr({}, 0)
     for v in rng.sample(vars_, rng.randint(1, n)):
-        objective = objective + B.ite(v, rng.randint(1, 9), 0)
+        objective = objective + rng.randint(1, 9) * v
     return ctx, objective
 
 
@@ -211,22 +220,6 @@ def test_negated_atom_in_clause():
     ctx.add(B.clause(~(x <= 4)))
     res = ctx.check_minimize()
     assert res.status == B.Status.SAT and res.model[x] >= 5
-
-
-def test_smtlib_dump_mentions_all_parts():
-    ctx = B.SolverContext()
-    x = ctx.bool_var("x")
-    t = ctx.int_var("t", 0, 9)
-    ctx.add(B.exactly_one([x]))
-    ctx.add(B.implies(x, t >= 3))
-    ctx.minimize(B.ite(x, 2, 0))
-    text = ctx.to_smtlib()
-    assert "(set-logic QF_LIA)" in text
-    assert "(declare-fun x () Bool)" in text
-    assert "(declare-fun t () Int)" in text
-    assert "(minimize" in text
-    assert "(check-sat)" in text
-    assert text.count("(") == text.count(")")
 
 
 def test_duplicate_names_rejected():

@@ -2,12 +2,21 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 
 import pytest
 
-from comsat.generate import tiny_params, generate
+from comsat.generate import GenParams, tiny_params, generate
 from comsat.instance import parse_instance
-from comsat.paths import UsedPaths, enumerate_paths, k_shortest_paths, pathfinder
+from comsat.paths import (
+    Path,
+    PathCombination,
+    PathTable,
+    UsedPaths,
+    enumerate_paths,
+    k_shortest_paths,
+    pathfinder,
+)
 
 from conftest import make_instance
 
@@ -162,3 +171,74 @@ def test_pathfinder_two_pairs_derived_sequence():
     used.add(combo)
     second = pathfinder(table, used)
     assert second.total_hops == sorted(brute)[1]
+
+
+def _hops_table(hops_by_pair: list[list[int]]) -> PathTable:
+    """Synthetic table whose candidates have the given node counts, in order."""
+    pairs = tuple((100 + i, 200 + i) for i in range(len(hops_by_pair)))
+    candidates = {
+        pair: tuple(Path(nodes=tuple(range(h)), edges=(), length=h - 1) for h in hops)
+        for pair, hops in zip(pairs, hops_by_pair)
+    }
+    return PathTable(pairs=pairs, candidates=candidates, max_paths=4)
+
+
+# Hop ties within and across pairs, candidates out of hop order, and uneven
+# candidate counts (4 x 1 x 3 x 2 = 24 combinations).
+UNEVEN_TIES = [[3, 2, 2, 4], [2], [3, 3, 5], [4, 2]]
+
+
+def _all_keys(table: PathTable) -> dict[tuple[int, ...], int]:
+    return {
+        choice: sum(table.candidates[p][i].hops for p, i in zip(table.pairs, choice))
+        for choice in itertools.product(*[range(len(table.candidates[p])) for p in table.pairs])
+    }
+
+
+def test_pathfinder_full_sequence_on_ties_and_uneven_counts():
+    table = _hops_table(UNEVEN_TIES)
+    used = UsedPaths()
+    sequence = []
+    while (combo := pathfinder(table, used)) is not None:
+        sequence.append(combo)
+        used.add(combo)
+    totals = [c.total_hops for c in sequence]
+    assert totals == sorted(totals)
+    assert sorted(c.key() for c in sequence) == sorted(_all_keys(table))
+    assert sorted(totals) == sorted(_all_keys(table).values())
+
+
+def test_pathfinder_skips_combinations_it_never_returned():
+    table = _hops_table(UNEVEN_TIES)
+    costs = _all_keys(table)
+    rng = random.Random(5)
+    used = UsedPaths()
+    while True:
+        # Record combinations the pathfinder did not hand out, some of them
+        # cheaper than anything left on its frontier.
+        for key in rng.sample(sorted(costs), 2):
+            if key not in used.keys:
+                used.add(PathCombination(selection=dict(zip(table.pairs, key)), table=table))
+        unused = [cost for key, cost in costs.items() if key not in used.keys]
+        combo = pathfinder(table, used)
+        if not unused:
+            assert combo is None
+            break
+        assert combo.key() not in used.keys
+        assert combo.total_hops == min(unused)
+        used.add(combo)
+
+
+def _argmin_selection(table: PathTable) -> dict[tuple[int, int], int]:
+    return {
+        pair: min(range(len(cands)), key=lambda r: (cands[r].hops, r))
+        for pair, cands in table.candidates.items()
+    }
+
+
+def test_pathfinder_first_selection_is_pairwise_argmin(plant21):
+    generated = generate(GenParams(nodes=15, vehicles=3, jobs=5, edge_reduction=25, horizon=20, seed=3))
+    for inst in (plant21, generated):
+        table = enumerate_paths(inst, 10)
+        combo = pathfinder(table, UsedPaths())
+        assert combo.selection == _argmin_selection(table)

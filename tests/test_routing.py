@@ -8,7 +8,7 @@ import pytest
 from comsat.generate import GenParams, generate
 from comsat.instance import END_JOB, START_JOB
 from comsat.paths import UsedPaths, enumerate_paths, pathfinder
-from comsat.routing import route_set_from_json, router
+from comsat.routing import router
 
 from conftest import make_instance
 
@@ -113,17 +113,6 @@ def test_out_of_range_job_is_infeasible():
     )
     _combo, routes = _solve_routes(inst)
     assert routes is None
-
-
-def test_route_set_json_round_trip(plant21):
-    combo, routes = _solve_routes(plant21)
-    text = routes.to_json()
-    again = route_set_from_json(text, plant21, combo)
-    assert [
-        [(v.job, v.task, v.arrival) for v in r.visits] for r in again.routes
-    ] == [[(v.job, v.task, v.arrival) for v in r.visits] for r in routes.routes]
-    assert [r.length for r in again.routes] == [r.length for r in routes.routes]
-    assert set(again.chosen_dirs) == set(routes.chosen_dirs)
 
 
 # -- minimality against exhaustive ordering search -------------------------
