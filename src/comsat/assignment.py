@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import backend as B
-from .instance import Instance
+from .instance import Instance, json_fields
 from .routing import Route, RouteSet
 
 
@@ -45,12 +45,16 @@ class Assignment:
 
 
 def assignment_from_json(text: str) -> Assignment:
-    data = json.loads(text)
-    rows = sorted(data["assignments"], key=lambda r: r["route"])
+    """Rebuild an Assignment; ValidationInputError on a missing or mistyped field."""
+    (rows,) = json_fields(json.loads(text), "assignment file", assignments=list)
+    # (route, vehicle, start, end) per row, in route order.
+    fields = sorted(
+        json_fields(row, "assignment row", route=int, vehicle=str, start=int, end=int) for row in rows
+    )
     return Assignment(
-        vehicles=tuple(r["vehicle"] for r in rows),
-        starts=tuple(r["start"] for r in rows),
-        ends=tuple(r["end"] for r in rows),
+        vehicles=tuple(f[1] for f in fields),
+        starts=tuple(f[2] for f in fields),
+        ends=tuple(f[3] for f in fields),
     )
 
 

@@ -29,7 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--max-route-iters", type=int, default=10)
     p_solve.add_argument("--timeout", type=float, default=300.0)
     p_solve.add_argument("--stage-timeout", type=float, default=60.0)
-    p_solve.add_argument("--strict-pairwise-edges", action="store_true")
     p_solve.add_argument("--output", type=Path, help="write the schedule JSON here")
     p_solve.add_argument("--assignment-output", type=Path, help="write the assignment JSON here")
     p_solve.add_argument("--stats", type=Path, help="write run statistics JSON here")
@@ -61,7 +60,6 @@ def _cmd_solve(args) -> int:
         max_route_iters=args.max_route_iters,
         stage_timeout=args.stage_timeout,
         total_timeout=args.timeout,
-        strict_pairwise_edges=args.strict_pairwise_edges,
     )
     result = solve(inst, cfg)
     if args.stats:

@@ -39,6 +39,30 @@ class InstanceSemanticError(InstanceError):
     """The input parses but violates a structural invariant."""
 
 
+class ValidationInputError(ValueError):
+    """A schedule or assignment does not structurally fit the instance."""
+
+
+def json_fields(obj: Any, what: str, **kinds: type) -> tuple:
+    """The values of the keyword-named keys of the JSON object ``obj``.
+
+    Raises :class:`ValidationInputError` naming ``what`` when ``obj`` is not
+    an object, lacks one of the keys, or holds a value of another type than
+    the keyword gives (a boolean is not an integer).
+    """
+    if not isinstance(obj, dict):
+        raise ValidationInputError(f"{what} must be an object, got {obj!r}")
+    values = []
+    for key, kind in kinds.items():
+        if key not in obj:
+            raise ValidationInputError(f"{what} is missing {key!r}")
+        value = obj[key]
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ValidationInputError(f"{what} {key!r} must be {kind.__name__}, got {value!r}")
+        values.append(value)
+    return tuple(values)
+
+
 @dataclass(frozen=True)
 class Edge:
     source: int

@@ -41,7 +41,6 @@ class SolverConfig:
     max_route_iters: int = 10
     stage_timeout: float = 60.0
     total_timeout: float = 300.0
-    strict_pairwise_edges: bool = False
 
     def __post_init__(self) -> None:
         if min(self.max_paths, self.max_route_iters) < 1:
@@ -136,11 +135,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
                             lambda budget: assign(inst, routes, timeout=budget))
                 sched = None if asg is None else stage(
                     "scheduler_calls", "time_scheduler",
-                    lambda budget: scheduler(
-                        inst, expand_routes(routes, combo, asg), asg,
-                        strict_pairwise=cfg.strict_pairwise_edges,
-                        timeout=budget,
-                    ),
+                    lambda budget: scheduler(inst, expand_routes(routes, combo, asg), asg, timeout=budget),
                 )
                 if sched is None:
                     if len(previous_routes) >= cfg.max_route_iters:

@@ -13,7 +13,6 @@ they belong to the assignment stage, which knows the actual vehicles.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,17 +56,6 @@ class Route:
 class RouteSet:
     routes: tuple[Route, ...]
     chosen_dirs: tuple[tuple[TaskKey, TaskKey], ...]
-
-
-def _precedence_orderings(job: Job) -> list[tuple[str, ...]]:
-    closure = transitive_predecessors(job)
-    names = [t.name for t in job.tasks]
-    out = []
-    for perm in itertools.permutations(names):
-        position = {name: i for i, name in enumerate(perm)}
-        if all(position[p] < position[n] for n in names for p in closure[n]):
-            out.append(perm)
-    return out
 
 
 def router(
@@ -155,24 +143,7 @@ def router(
     # some order compatible with the job's precedence relation.
     for job in inst.customer_jobs():
         keys = [(job.name, t.name) for t in job.tasks]
-        if len(keys) < 2:
-            continue
-        if len(keys) <= 4:
-            orderings = _precedence_orderings(job)
-            chains = [
-                [arc((job.name, a), (job.name, b)) for a, b in zip(ord_, ord_[1:])]
-                for ord_ in orderings
-            ]
-            if len(chains) == 1:
-                for lit in chains[0]:
-                    ctx.add(B.clause(lit))
-            else:
-                selectors = [ctx.bool_var(f"ord_{job.name}_{i}") for i in range(len(chains))]
-                ctx.add(B.exactly_one(selectors))
-                for sel, chain in zip(selectors, chains):
-                    for lit in chain:
-                        ctx.add(B.implies(sel, lit))
-        else:
+        if len(keys) >= 2:
             _chain_by_order_bools(ctx, job, keys, arc)
 
     # Deliveries happen no earlier than their pickups.
@@ -195,7 +166,12 @@ def router(
 
 
 def _chain_by_order_bools(ctx: B.SolverContext, job: Job, keys: list[TaskKey], arc) -> None:
-    """Consecutive-block encoding for jobs too large to enumerate orderings."""
+    """Make the job's tasks one consecutive block in a precedence-compatible order.
+
+    One order variable per task pair, kept transitive, must agree with the
+    job's precedence relation and with every arc chosen inside the job;
+    exactly ``len(keys) - 1`` such arcs then chain all tasks into one block.
+    """
     closure = transitive_predecessors(job)
     before: dict[tuple[TaskKey, TaskKey], B.Literal] = {}
     for i, a in enumerate(keys):

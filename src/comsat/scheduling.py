@@ -8,8 +8,9 @@ occupancy up to the edge capacity, head-on exclusion on opposite
 directions, and per-vehicle turnaround: a vehicle starts its next route
 only after finishing the previous one plus the recharge gap.
 
-A strict pairwise mode replaces the capacity-aware same-direction rule
-with plain one-step staggering of entries.
+Each trace carries serve marks: which of its positions serve which task.
+The Schedule JSON keeps them, so a schedule read back from a file is
+validated against exactly what the solver claimed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from . import backend as B
 from .assignment import Assignment
-from .instance import END_JOB, START_JOB, Edge, Instance
+from .instance import END_JOB, START_JOB, Edge, Instance, ValidationInputError, json_fields
 from .paths import PathCombination
 from .routing import RouteSet
 
@@ -63,6 +64,9 @@ class Schedule:
                             {"u": e.source, "v": e.sink, "t": t}
                             for e, t in zip(st.trace.edges, st.edge_times)
                         ],
+                        "serves": [
+                            {"pos": pos, "job": job, "task": task} for pos, job, task in st.trace.serves
+                        ],
                     }
                     for st in self.traces
                 ],
@@ -73,25 +77,36 @@ class Schedule:
 
 
 def schedule_from_json(text: str, inst: Instance) -> Schedule:
-    """Rebuild a Schedule from its JSON form (windows default to the horizon)."""
-    data = json.loads(text)
+    """Rebuild a Schedule from its JSON form (windows default to the horizon).
+
+    Raises ValidationInputError on a missing or mistyped field and on an
+    edge the plant does not have.
+    """
+    traces_json, makespan = json_fields(json.loads(text), "schedule file", traces=list, makespan=int)
     edge_map = inst.graph.edge_map()
     traces = []
-    for body in data["traces"]:
-        nodes = tuple(item["node"] for item in body["nodes"])
-        node_times = tuple(item["t"] for item in body["nodes"])
-        edges = tuple(edge_map[(item["u"], item["v"])] for item in body["edges"])
-        edge_times = tuple(item["t"] for item in body["edges"])
+    for body in traces_json:
+        route, vehicle, nodes_json, edges_json, serves_json = json_fields(
+            body, "trace", route=int, vehicle=str, nodes=list, edges=list, serves=list
+        )
+        node_items = [json_fields(item, "trace node", node=int, t=int) for item in nodes_json]
+        edge_items = [json_fields(item, "trace edge", u=int, v=int, t=int) for item in edges_json]
+        for u, v, _t in edge_items:
+            if (u, v) not in edge_map:
+                raise ValidationInputError(f"unknown edge ({u}, {v}) in trace")
+        node_times = tuple(t for _node, t in node_items)
+        edge_times = tuple(t for _u, _v, t in edge_items)
         trace = RouteTrace(
-            route_index=body["route"],
-            vehicle=body["vehicle"],
+            route_index=route,
+            vehicle=vehicle,
             start=node_times[0] if node_times else 0,
-            nodes=nodes,
-            windows=tuple((0, None) for _ in nodes),
-            edges=edges,
+            nodes=tuple(node for node, _t in node_items),
+            windows=tuple((0, None) for _ in node_items),
+            edges=tuple(edge_map[(u, v)] for u, v, _t in edge_items),
+            serves=tuple(json_fields(item, "serve mark", pos=int, job=str, task=str) for item in serves_json),
         )
         traces.append(ScheduledTrace(trace=trace, node_times=node_times, edge_times=edge_times))
-    return Schedule(traces=tuple(traces), makespan=data["makespan"])
+    return Schedule(traces=tuple(traces), makespan=makespan)
 
 
 def expand_routes(routes: RouteSet, paths: PathCombination, asg: Assignment) -> list[RouteTrace]:
@@ -141,7 +156,6 @@ def scheduler(
     inst: Instance,
     traces: list[RouteTrace],
     asg: Assignment,
-    strict_pairwise: bool = False,
     timeout: float | None = None,
 ) -> Schedule | None:
     """Solve entry times for all traces, or None when conflicts cannot resolve."""
@@ -207,7 +221,20 @@ def scheduler(
         length = edge_map[(u, v)].length
         capacity = edge_map[(u, v)].capacity
         cross = [(a, b) for a, b in itertools.combinations(occurrences, 2) if a[0] != b[0]]
-        if strict_pairwise:
+        # At most `capacity` simultaneous same-direction occupants: in every
+        # group of capacity+1 traversals, some pair must be a full travel
+        # time apart.
+        if len(occurrences) > capacity:
+            for subset in itertools.combinations(occurrences, capacity + 1):
+                if len({o[0] for o in subset}) < 2:
+                    continue
+                lits = [
+                    edge_vars[ta][pa] - edge_vars[tb][pb] >= length
+                    for (ta, pa), (tb, pb) in itertools.permutations(subset, 2)
+                    if ta != tb
+                ]
+                ctx.add(B.clause(*lits))
+        if capacity > 1 and cross:
             for (ta, pa), (tb, pb) in cross:
                 ctx.add(
                     B.clause(
@@ -215,28 +242,6 @@ def scheduler(
                         edge_vars[tb][pb] - edge_vars[ta][pa] >= 1,
                     )
                 )
-        else:
-            # At most `capacity` simultaneous same-direction occupants: in
-            # every group of capacity+1 traversals, some pair must be a full
-            # travel time apart.
-            if len(occurrences) > capacity:
-                for subset in itertools.combinations(occurrences, capacity + 1):
-                    if len({o[0] for o in subset}) < 2:
-                        continue
-                    lits = [
-                        edge_vars[ta][pa] - edge_vars[tb][pb] >= length
-                        for (ta, pa), (tb, pb) in itertools.permutations(subset, 2)
-                        if ta != tb
-                    ]
-                    ctx.add(B.clause(*lits))
-            if capacity > 1 and cross:
-                for (ta, pa), (tb, pb) in cross:
-                    ctx.add(
-                        B.clause(
-                            edge_vars[ta][pa] - edge_vars[tb][pb] >= 1,
-                            edge_vars[tb][pb] - edge_vars[ta][pa] >= 1,
-                        )
-                    )
 
         reverse = by_edge.get((v, u))
         if reverse and (u, v) < (v, u):

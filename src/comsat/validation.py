@@ -8,9 +8,14 @@ and no head-on or position-swap events.  It shares no code with the
 constraint models, so it serves as the soundness oracle for everything the
 solver emits.
 
-Structurally broken inputs (unknown vehicles, mismatched trace shapes)
-raise :class:`ValidationInputError`; rule violations are reported, not
-raised.
+Which task each trace position serves comes from the trace's serve marks,
+which the solver sets and the Schedule JSON carries; the validator checks
+the marks themselves (the node is the task's location, each task is served
+once) and never guesses them.
+
+Structurally broken inputs (unknown vehicles, tasks or edges, mismatched
+trace shapes, serve marks outside their trace) raise
+:class:`ValidationInputError`; rule violations are reported, not raised.
 """
 
 from __future__ import annotations
@@ -20,18 +25,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .assignment import Assignment
-from .instance import END_JOB, START_JOB, Instance, Job
+from .instance import Instance, ValidationInputError
 from .scheduling import Schedule, ScheduledTrace
-
-
-class ValidationInputError(ValueError):
-    """The schedule/assignment do not structurally fit the instance."""
 
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # window | node-capacity | edge-capacity | swap | charge |
-    #            eligibility | continuity | precedence
+    kind: str  # window | location | node-capacity | edge-capacity | swap |
+    #            charge | eligibility | continuity | precedence
     time: int | None
     entities: tuple[str, ...]
 
@@ -53,13 +54,16 @@ def _structure_check(inst: Instance, sched: Schedule, asg: Assignment) -> None:
         if v not in inst.fleet.vehicles:
             raise ValidationInputError(f"unknown vehicle {v!r} in assignment")
     edge_map = inst.graph.edge_map()
+    customer_tasks = {(t.job, t.name) for t in inst.customer_tasks()}
     for st in sched.traces:
         t = st.trace
         if t.route_index >= n_routes:
             raise ValidationInputError(f"trace references unknown route {t.route_index}")
         if t.vehicle not in inst.fleet.vehicles:
             raise ValidationInputError(f"unknown vehicle {t.vehicle!r} in schedule")
-        if len(t.edges) != max(0, len(t.nodes) - 1):
+        if not t.nodes:
+            raise ValidationInputError(f"trace of route {t.route_index} has no nodes")
+        if len(t.edges) != len(t.nodes) - 1:
             raise ValidationInputError("trace edge list length must be node list length - 1")
         if len(st.node_times) != len(t.nodes) or len(st.edge_times) != len(t.edges):
             raise ValidationInputError("trace timing arrays do not match its shape")
@@ -72,9 +76,10 @@ def _structure_check(inst: Instance, sched: Schedule, asg: Assignment) -> None:
             if e.source != t.nodes[p] or e.sink != t.nodes[p + 1]:
                 raise ValidationInputError("trace edges do not connect consecutive nodes")
         for (pos, job, task) in t.serves:
-            inst.task(job, task)  # raises KeyError if absent
-            if pos >= len(t.nodes):
-                raise ValidationInputError("serve mark beyond trace length")
+            if (job, task) not in customer_tasks:
+                raise ValidationInputError(f"serve mark for unknown task {job}/{task}")
+            if not 0 <= pos < len(t.nodes):
+                raise ValidationInputError(f"serve mark of {job}/{task} outside its trace")
 
 
 def _node_intervals(st: ScheduledTrace) -> list[tuple[int, int, int]]:
@@ -98,18 +103,17 @@ def validate(inst: Instance, sched: Schedule, asg: Assignment) -> ValidationRepo
     for st in sched.traces:
         t = st.trace
         name = f"route{t.route_index}"
-        if t.nodes and (t.nodes[0] != depot or t.nodes[-1] != depot):
+        if t.nodes[0] != depot or t.nodes[-1] != depot:
             violations.append(Violation("continuity", None, (name, "not depot-anchored")))
         for p, edge in enumerate(t.edges):
             if st.edge_times[p] < st.node_times[p]:
                 violations.append(Violation("continuity", st.edge_times[p], (name, f"edge {p} before node")))
             if st.node_times[p + 1] != st.edge_times[p] + edge.length:
                 violations.append(Violation("continuity", st.node_times[p + 1], (name, f"arrival {p + 1} off travel time")))
-        if st.node_times and (st.node_times[0] < 0 or st.node_times[-1] > horizon):
+        if st.node_times[0] < 0 or st.node_times[-1] > horizon:
             violations.append(Violation("window", st.node_times[-1], (name, "outside horizon")))
 
-    # Serve marks: either carried by the traces or inferred from the replay.
-    marks, streams = _collect_marks(inst, sched, violations)
+    marks, streams = _collect_marks(sched, violations)
 
     _check_windows_and_sequencing(inst, sched, marks, streams, violations)
     _check_charge(inst, sched, violations)
@@ -120,108 +124,25 @@ def validate(inst: Instance, sched: Schedule, asg: Assignment) -> ValidationRepo
     return ValidationReport(ok=not violations, violations=violations)
 
 
-def _collect_marks(inst, sched, violations):
+def _collect_marks(sched, violations):
     """Marks (job, task) -> (trace, position, time) plus per-vehicle streams.
 
-    A stream lists the job of every serve in execution order, used for the
-    job-block discipline check; it comes straight from the route order so
-    that zero-duration ties cannot reshuffle it.
+    The marks are the ones the traces carry.  A stream lists the job of
+    every serve in execution order, used for the job-block discipline check;
+    it follows the traces' start times and the marks' positions, so that
+    zero-duration ties cannot reshuffle it.
     """
-    carried: dict[tuple[str, str], tuple[int, int, int]] = {}
+    marks: dict[tuple[str, str], tuple[int, int, int]] = {}
     streams: dict[str, list[str]] = {}
-    any_marks = any(st.trace.serves for st in sched.traces)
-    if any_marks:
-        order = sorted(range(len(sched.traces)), key=lambda ti: (sched.traces[ti].node_times[0], ti))
-        for ti in order:
-            st = sched.traces[ti]
-            for pos, job, task in st.trace.serves:
-                if (job, task) in carried:
-                    violations.append(Violation("precedence", None, (job, task, "served twice")))
-                carried[(job, task)] = (ti, pos, st.node_times[pos])
-                streams.setdefault(st.trace.vehicle, []).append(job)
-        return carried, streams
-    inferred = _infer_marks(inst, sched)
-    for (job, _task), (ti, _pos, _t) in inferred.items():
-        streams.setdefault(sched.traces[ti].trace.vehicle, []).append(job)
-    return inferred, streams
-
-
-def _infer_marks(inst, sched) -> dict[tuple[str, str], tuple[int, int, int]]:
-    """Search a rule-consistent interpretation of which positions serve what.
-
-    Used when a schedule arrives without serve annotations (e.g. re-read
-    from JSON).  Greedy earliest matching per candidate task order is
-    complete for a fixed order, so the search only branches over job-to-
-    vehicle choices and per-vehicle job/task orders.
-    """
-    from .routing import _precedence_orderings
-
-    jobs = inst.customer_jobs()
-    if not jobs:
-        return {}
-    events_by_vehicle: dict[str, list[tuple[int, int, int, int]]] = {}
-    trace_order: dict[str, list[int]] = {}
-    for ti, st in enumerate(sched.traces):
-        events_by_vehicle.setdefault(st.trace.vehicle, [])
-        trace_order.setdefault(st.trace.vehicle, []).append(ti)
-    for v, tis in trace_order.items():
-        tis.sort(key=lambda ti: sched.traces[ti].node_times[0])
-        for ti in tis:
-            st = sched.traces[ti]
-            for pos, node in enumerate(st.trace.nodes):
-                events_by_vehicle[v].append((st.node_times[pos], node, ti, pos))
-        events_by_vehicle[v].sort(key=lambda e: e[0])
-
-    best: dict[tuple[str, str], tuple[int, int, int]] = {}
-
-    def match_vehicle(vehicle: str, its_jobs: list[Job]) -> dict | None:
-        events = events_by_vehicle.get(vehicle, [])
-        for block_order in itertools.permutations(its_jobs):
-            orders = [_precedence_orderings(j) or [tuple(t.name for t in j.tasks)] for j in block_order]
-            for task_orders in itertools.product(*orders):
-                sequence = [
-                    (job.name, t) for job, order in zip(block_order, task_orders) for t in order
-                ]
-                used: dict[tuple[str, str], tuple[int, int, int]] = {}
-                cursor = 0
-                ok = True
-                for job_name, task_name in sequence:
-                    task = inst.task(job_name, task_name)
-                    found = None
-                    for k in range(cursor, len(events)):
-                        t, node, ti, pos = events[k]
-                        if node == task.location and task.window_lo <= t <= task.window_hi:
-                            found = (k, ti, pos, t)
-                            break
-                    if found is None:
-                        ok = False
-                        break
-                    cursor = found[0]  # co-located next task may reuse this instant
-                    used[(job_name, task_name)] = (found[1], found[2], found[3])
-                if ok:
-                    return used
-        return None
-
-    def assign_jobs(idx: int, pools: dict[str, list[Job]]) -> bool:
-        if idx == len(jobs):
-            for vehicle, pool in pools.items():
-                matched = match_vehicle(vehicle, pool)
-                if matched is None:
-                    return False
-                best.update(matched)
-            return True
-        job = jobs[idx]
-        for vehicle in inst.fleet.vehicles:
-            if vehicle not in job.eligible:
-                continue
-            pools.setdefault(vehicle, []).append(job)
-            if assign_jobs(idx + 1, pools):
-                return True
-            pools[vehicle].pop()
-        return False
-
-    assign_jobs(0, {})
-    return best
+    order = sorted(range(len(sched.traces)), key=lambda ti: (sched.traces[ti].node_times[0], ti))
+    for ti in order:
+        st = sched.traces[ti]
+        for pos, job, task in sorted(st.trace.serves, key=lambda mark: mark[0]):
+            if (job, task) in marks:
+                violations.append(Violation("precedence", None, (job, task, "served twice")))
+            marks[(job, task)] = (ti, pos, st.node_times[pos])
+            streams.setdefault(st.trace.vehicle, []).append(job)
+    return marks, streams
 
 
 def _check_windows_and_sequencing(inst, sched, marks, streams, violations) -> None:
@@ -234,7 +155,11 @@ def _check_windows_and_sequencing(inst, sched, marks, streams, violations) -> No
                 violations.append(Violation("window", None, (job.name, task.name, "never served")))
                 continue
             ti, pos, t = mark
-            vehicles.add(sched.traces[ti].trace.vehicle)
+            trace = sched.traces[ti].trace
+            vehicles.add(trace.vehicle)
+            if trace.nodes[pos] != task.location:
+                where = f"served at node {trace.nodes[pos]}"
+                violations.append(Violation("location", t, (job.name, task.name, where)))
             if not (task.window_lo <= t <= task.window_hi):
                 violations.append(Violation("window", t, (job.name, task.name)))
             for p in closure[task.name]:

@@ -36,6 +36,9 @@ def test_gen_solve_validate_round_trip(tmp_path, capsys):
 
     sched = json.loads(sched_path.read_text())
     assert "traces" in sched and "makespan" in sched
+    # Every trace carries its serve marks.
+    assert all("serves" in trace for trace in sched["traces"])
+    assert any(trace["serves"] for trace in sched["traces"])
     assert main([
         "validate",
         "--instance", str(inst_path),
@@ -66,6 +69,80 @@ def test_error_exit_code_on_bad_instance(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["solve", "--instance", str(path)]) == 3
     assert "error" in capsys.readouterr().err
+
+
+def _validate_files(tmp_path, *, schedule_edit=None, assignment_edit=None):
+    """Run ``comsat validate`` on a hand-built, valid one-job solution after
+    applying the given edits to its schedule and assignment documents."""
+    inst = {
+        "nodes": [0, 1],
+        "depot": 0,
+        "edges": [{"u": 0, "v": 1, "len": 2, "cap": 1, "directed": False}],
+        "horizon": 20,
+        "vehicles": ["R1"],
+        "operating_range": 100,
+        "charge_coeff": 0,
+        "discharge_coeff": 1,
+        "jobs": {"J": {"eligible": ["R1"], "tasks": {"1": {"location": 1, "window": [0, 10], "precedes": []}}}},
+    }
+    sched = {
+        "traces": [{
+            "route": 0,
+            "vehicle": "R1",
+            "nodes": [{"node": 0, "t": 0}, {"node": 1, "t": 2}, {"node": 0, "t": 4}],
+            "edges": [{"u": 0, "v": 1, "t": 0}, {"u": 1, "v": 0, "t": 2}],
+            "serves": [{"pos": 1, "job": "J", "task": "1"}],
+        }],
+        "makespan": 4,
+    }
+    asg = {"assignments": [{"route": 0, "vehicle": "R1", "start": 0, "end": 4}]}
+    if schedule_edit:
+        schedule_edit(sched)
+    if assignment_edit:
+        assignment_edit(asg)
+    paths = {}
+    for name, doc in (("instance", inst), ("schedule", sched), ("assignment", asg)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return main([
+        "validate",
+        "--instance", str(paths["instance"]),
+        "--schedule", str(paths["schedule"]),
+        "--assignment", str(paths["assignment"]),
+    ])
+
+
+def test_validate_hand_built_solution(tmp_path, capsys):
+    assert _validate_files(tmp_path) == 0
+    assert capsys.readouterr().out.startswith("ok")
+
+
+def _trace(sched):
+    return sched["traces"][0]
+
+
+@pytest.mark.parametrize(
+    "schedule_edit, assignment_edit",
+    [
+        (lambda s: _trace(s)["nodes"][1].pop("t"), None),
+        (lambda s: _trace(s)["edges"][0].update(v=999), None),
+        (None, lambda a: a["assignments"][0].pop("vehicle")),
+        (lambda s: _trace(s).pop("serves"), None),
+        (lambda s: _trace(s)["serves"].append("J/1"), None),
+        (lambda s: _trace(s).update(nodes=[], edges=[], serves=[]), None),
+    ],
+    ids=[
+        "node-without-time",
+        "edge-to-unknown-node",
+        "row-without-vehicle",
+        "trace-without-serves",
+        "serve-mark-not-an-object",
+        "trace-without-nodes",
+    ],
+)
+def test_validate_malformed_files_exit_3(tmp_path, capsys, schedule_edit, assignment_edit):
+    assert _validate_files(tmp_path, schedule_edit=schedule_edit, assignment_edit=assignment_edit) == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_bench_writes_csv_with_aggregates(tmp_path, capsys):

@@ -105,8 +105,3 @@ def test_config_validation():
         SolverConfig(max_paths=0)
     with pytest.raises(ValueError):
         SolverConfig(total_timeout=0)
-
-
-def test_strict_pairwise_config_is_plumbed(plant21):
-    result = solve(plant21, SolverConfig(strict_pairwise_edges=True))
-    assert result.status == SolveStatus.SAT

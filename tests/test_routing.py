@@ -8,7 +8,9 @@ import pytest
 from comsat.generate import GenParams, generate
 from comsat.instance import END_JOB, START_JOB
 from comsat.paths import UsedPaths, enumerate_paths, pathfinder
+from comsat.pipeline import SolverConfig, SolveStatus, solve
 from comsat.routing import router
+from comsat.validation import validate
 
 from conftest import make_instance
 
@@ -92,6 +94,71 @@ def test_within_job_tasks_are_consecutive_and_ordered(plant21):
         for task in job.tasks:
             for p in task.predecessors:
                 assert arrivals[p] <= arrivals[task.name]
+
+
+def _ring(n):
+    return [(i, (i + 1) % n, 1, 1) for i in range(n)]
+
+
+def _three_task_job_instance():
+    # Two pickups with no order between them, then a delivery.  Serving K
+    # between p1 and p2 would fit everything on one route; keeping J in one
+    # block needs a second route.
+    return make_instance(
+        nodes=range(5),
+        depot=0,
+        segments=_ring(5),
+        vehicles=["R1", "R2"],
+        jobs={
+            "J": {"tasks": {"p1": (1, 0, 1), "p2": (3, 0, None), "d": (4, 0, None, ["p1", "p2"])}},
+            "K": {"tasks": {"1": (2, 0, 3)}},
+        },
+        horizon=30,
+    )
+
+
+def _five_task_job_instance():
+    # As above, with a five-task job whose first task must come first.
+    return make_instance(
+        nodes=range(7),
+        depot=0,
+        segments=_ring(7),
+        vehicles=["R1", "R2"],
+        jobs={
+            "J": {
+                "tasks": {
+                    "a": (1, 0, 1),
+                    "b": (5, 0, None),
+                    "c": (4, 0, None, ["a"]),
+                    "d": (3, 0, None),
+                    "e": (6, 0, None, ["b", "c", "d"]),
+                }
+            },
+            "K": {"tasks": {"1": (2, 0, 3)}},
+        },
+        horizon=40,
+    )
+
+
+@pytest.mark.parametrize("build", [_three_task_job_instance, _five_task_job_instance])
+def test_multi_task_job_is_one_ordered_block(build):
+    inst = build()
+    job = inst.job("J")
+    _combo, routes = _solve_routes(inst)
+    assert routes is not None
+    (route,) = [r for r in routes.routes if "J" in r.jobs]
+    stream = [v.job for v in route.task_visits()]
+    first = stream.index("J")
+    assert stream[first : first + len(job.tasks)] == ["J"] * len(job.tasks)
+    assert stream.count("J") == len(job.tasks)
+    position = {v.task: i for i, v in enumerate(route.task_visits()) if v.job == "J"}
+    for task in job.tasks:
+        for p in task.predecessors:
+            assert position[p] < position[task.name]
+
+    result = solve(inst, SolverConfig(total_timeout=60))
+    assert result.status == SolveStatus.SAT
+    assert validate(inst, result.schedule, result.assignment).ok
 
 
 def test_blocking_returns_different_dir_model(plant21):

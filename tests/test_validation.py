@@ -194,8 +194,44 @@ def test_discharge_beyond_range_detected():
 
 
 def test_json_round_trip_schedule_still_validates(plant21, solved_plant21):
-    # Serve marks are lost in JSON; validation falls back to inference.
+    # The JSON carries the serve marks, so the re-read schedule is checked
+    # against exactly the marks the solver set.
     text = solved_plant21.schedule.to_json()
     sched = schedule_from_json(text, plant21)
+    assert [st.trace.serves for st in sched.traces] == [
+        st.trace.serves for st in solved_plant21.schedule.traces
+    ]
     report = validate(plant21, sched, solved_plant21.assignment)
     assert report.ok, report.violations
+
+
+def _with_serves(sched, ti, serves):
+    st = sched.traces[ti]
+    moved = ScheduledTrace(replace(st.trace, serves=serves), st.node_times, st.edge_times)
+    return replace(sched, traces=sched.traces[:ti] + (moved,) + sched.traces[ti + 1 :])
+
+
+def test_mark_moved_off_task_location_is_reported(plant21, solved_plant21):
+    sched = solved_plant21.schedule
+    for ti, st in enumerate(sched.traces):
+        for k, (pos, job, task) in enumerate(st.trace.serves):
+            if pos > 0 and st.trace.nodes[pos - 1] != plant21.task(job, task).location:
+                # Claim the task was served one position earlier, on another node.
+                serves = st.trace.serves[:k] + ((pos - 1, job, task),) + st.trace.serves[k + 1 :]
+                report = validate(plant21, _with_serves(sched, ti, serves), solved_plant21.assignment)
+                assert "location" in report.kinds(), report.violations
+                return
+    pytest.fail("no serve mark has a neighbour on another node")
+
+
+@pytest.mark.parametrize(
+    "bad_mark",
+    [lambda pos, job, task: (-1, job, task), lambda pos, job, task: (pos, job, "no-such-task")],
+    ids=["negative-position", "unknown-task"],
+)
+def test_bad_mark_is_structural_error(plant21, solved_plant21, bad_mark):
+    sched = solved_plant21.schedule
+    ti = next(ti for ti, st in enumerate(sched.traces) if st.trace.serves)
+    first, *rest = sched.traces[ti].trace.serves
+    with pytest.raises(ValidationInputError):
+        validate(plant21, _with_serves(sched, ti, (bad_mark(*first), *rest)), solved_plant21.assignment)
