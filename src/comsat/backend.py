@@ -4,12 +4,11 @@ The constraint language deliberately covers exactly what the routing,
 assignment, and scheduling models need:
 
 * boolean variables, usable as literals in clauses;
-* bounded integer variables with *difference* atoms ``x - y <= k`` (either
-  side may be absent, giving unary bounds);
+* bounded integer variables ``x``, ``y`` and the atoms ``x - y <= k``,
+  ``x - y >= k``, ``x <= k`` and ``x >= k`` for an integer constant ``k``;
 * clauses over boolean and difference literals;
 * cardinality constraints ``exactly_n`` over boolean sets;
-* minimization of a linear objective over booleans (``k * b`` weighs a
-  boolean ``b`` by ``k``); integer terms are rejected.
+* minimization of how many of a set of booleans are true.
 
 The engine behind :meth:`SolverContext.check_minimize` is a DPLL-style
 search with cardinality propagation and an incremental difference-logic
@@ -24,11 +23,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .engine import Engine, EngineSpec
-
-Number = int
 
 
 class BackendError(ValueError):
@@ -36,7 +33,7 @@ class BackendError(ValueError):
 
 
 class UnsupportedExpression(BackendError):
-    """The expression leaves the supported linear/difference fragment."""
+    """The expression leaves the supported difference fragment."""
 
 
 class BoolRef:
@@ -55,19 +52,11 @@ class BoolRef:
     def __repr__(self) -> str:
         return f"Bool({self.name})"
 
-    # Booleans embed into linear expressions as 0/1 terms.
-    def _expr(self) -> "LinExpr":
-        return LinExpr({self: 1}, 0)
 
-    def __mul__(self, other: int) -> "LinExpr":
-        return self._expr() * other
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return self._expr() + other
-
-    __radd__ = __add__
+def _constant(k) -> int:
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise UnsupportedExpression(f"bounds must be integer constants, got {k!r}")
+    return k
 
 
 class IntRef:
@@ -85,102 +74,33 @@ class IntRef:
     def __repr__(self) -> str:
         return f"Int({self.name})"
 
-    def _expr(self) -> "LinExpr":
-        return LinExpr({self: 1}, 0)
+    def __sub__(self, other: "IntRef") -> "Difference":
+        if not isinstance(other, IntRef):
+            raise UnsupportedExpression(f"only an integer variable can be subtracted, not {other!r}")
+        return Difference(self, other)
 
-    def __add__(self, other):
-        return self._expr() + other
+    def __le__(self, k: int) -> "Atom":
+        return Atom(self, None, _constant(k))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._expr() - other
-
-    def __rsub__(self, other):
-        return (-1 * self._expr()) + other
-
-    def __mul__(self, other: int) -> "LinExpr":
-        return self._expr() * other
-
-    __rmul__ = __mul__
-
-    def __ge__(self, other) -> "Atom":
-        return self._expr() >= other
-
-    def __le__(self, other) -> "Atom":
-        return self._expr() <= other
+    def __ge__(self, k: int) -> "Atom":
+        return Atom(None, self, -_constant(k))
 
 
-@dataclass(frozen=True)
-class LinExpr:
-    """Affine expression over boolean (0/1) and integer variables."""
+class Difference:
+    """``x - y``, to be compared with an integer constant."""
 
-    terms: Mapping[Union[BoolRef, IntRef], int]
-    const: int
+    __slots__ = ("x", "y")
 
-    @staticmethod
-    def of(value) -> "LinExpr":
-        if isinstance(value, LinExpr):
-            return value
-        if isinstance(value, (BoolRef, IntRef)):
-            return value._expr()
-        if isinstance(value, int):
-            return LinExpr({}, value)
-        raise UnsupportedExpression(f"cannot treat {value!r} as a linear expression")
+    def __init__(self, x: IntRef, y: IntRef):
+        self.x = x
+        self.y = y
 
-    def _combine(self, other, sign: int) -> "LinExpr":
-        other = LinExpr.of(other)
-        terms = dict(self.terms)
-        for var, coeff in other.terms.items():
-            terms[var] = terms.get(var, 0) + sign * coeff
-            if terms[var] == 0:
-                del terms[var]
-        return LinExpr(terms, self.const + sign * other.const)
+    def __le__(self, k: int) -> "Atom":
+        return Atom(self.x, self.y, _constant(k))
 
-    def __add__(self, other) -> "LinExpr":
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LinExpr":
-        return self._combine(other, -1)
-
-    def __rsub__(self, other) -> "LinExpr":
-        return (self * -1) + other
-
-    def __mul__(self, factor: int) -> "LinExpr":
-        if not isinstance(factor, int):
-            raise UnsupportedExpression("only integer coefficients are supported")
-        if factor == 0:
-            return LinExpr({}, 0)
-        return LinExpr({v: c * factor for v, c in self.terms.items()}, self.const * factor)
-
-    __rmul__ = __mul__
-
-    def _difference(self) -> tuple[IntRef | None, IntRef | None, int]:
-        """Split into (plus_var, minus_var, const); difference form only."""
-        plus = minus = None
-        for var, coeff in self.terms.items():
-            if isinstance(var, BoolRef):
-                raise UnsupportedExpression("boolean terms are not allowed in comparisons")
-            if coeff == 1 and plus is None:
-                plus = var
-            elif coeff == -1 and minus is None:
-                minus = var
-            else:
-                raise UnsupportedExpression(
-                    "comparisons must be difference-shaped: x - y and unit coefficients"
-                )
-        return plus, minus, self.const
-
-    def __le__(self, other) -> "Atom":
-        diff = self - other
-        plus, minus, const = diff._difference()
-        # plus - minus + const <= 0
-        return Atom(plus, minus, -const)
-
-    def __ge__(self, other) -> "Atom":
-        return LinExpr.of(other) <= self
+    def __ge__(self, k: int) -> "Atom":
+        # x - y >= k  <=>  y - x <= -k
+        return Atom(self.y, self.x, -_constant(k))
 
 
 class Atom:
@@ -316,7 +236,7 @@ class SolverContext:
         self.bools: list[BoolRef] = []
         self.ints: list[IntRef] = []
         self.constraints: list[Constraint] = []
-        self.objective: LinExpr | None = None
+        self.objective: list[BoolRef] | None = None
         self._names: set[str] = set()
 
     def _register(self, name: str) -> None:
@@ -344,11 +264,16 @@ class SolverContext:
         else:
             raise BackendError(f"not a constraint: {constraint!r}")
 
-    def minimize(self, expr) -> None:
-        objective = LinExpr.of(expr)
-        if any(isinstance(var, IntRef) for var in objective.terms):
-            raise UnsupportedExpression("objectives may weigh booleans only, not integers")
-        self.objective = objective
+    def minimize(self, bools: Iterable[BoolRef]) -> None:
+        """Minimize how many of ``bools`` are true."""
+        members = list(bools)
+        for member in members:
+            if not isinstance(member, BoolRef):
+                raise UnsupportedExpression(f"objectives count booleans only, not {member!r}")
+        self.objective = list(dict.fromkeys(members))
+
+    def _count_true(self, model: Model) -> int:
+        return sum(1 for b in self.objective if model[b])
 
     # -- solving ---------------------------------------------------------
 
@@ -370,7 +295,7 @@ class SolverContext:
             return CheckResult(Status.SAT, model)
 
         best = model
-        best_value = evaluate_expr(self.objective, model)
+        best_value = self._count_true(model)
         while True:
             if not engine.bound_objective(best_value - 1):
                 break
@@ -380,7 +305,7 @@ class SolverContext:
             if status == "unsat":
                 break
             best = self._extract(engine)
-            best_value = evaluate_expr(self.objective, best)
+            best_value = self._count_true(best)
         return CheckResult(Status.SAT, best, best_value)
 
     def _compile(self) -> EngineSpec:
@@ -395,7 +320,7 @@ class SolverContext:
             elif isinstance(c, Cardinality):
                 spec.add_cardinality([v.index for v in c.vars], c.n)
         if self.objective is not None:
-            self._compile_objective(spec)
+            spec.objective = [b.index for b in self.objective]
         return spec
 
     def _engine_lit(self, lit: Literal, spec: EngineSpec) -> int:
@@ -408,34 +333,12 @@ class SolverContext:
             var = spec.intern_atom(xi, yi, atom.k)
         return var * 2 + (0 if lit.positive else 1)
 
-    def _compile_objective(self, spec: EngineSpec) -> None:
-        assert self.objective is not None
-        bool_terms: list[tuple[int, int]] = []
-        shift = self.objective.const
-        for var, coeff in self.objective.terms.items():
-            # Negative coefficients flip to the negated literal.
-            if coeff > 0:
-                bool_terms.append((var.index * 2, coeff))
-            else:
-                bool_terms.append((var.index * 2 + 1, -coeff))
-                shift += coeff
-        spec.set_objective(bool_terms, shift)
-
     def _extract(self, engine: Engine) -> Model:
         bools, ints = engine.model()
         return Model(bools, ints[1 : len(self.ints) + 1])
 
 
 # -- independent evaluation (used by tests as the soundness oracle) -------
-
-
-def evaluate_expr(expr, model) -> int:
-    expr = LinExpr.of(expr)
-    total = expr.const
-    for var, coeff in expr.terms.items():
-        value = model[var]
-        total += coeff * (int(value) if isinstance(var, BoolRef) else value)
-    return total
 
 
 def evaluate_literal(lit: LiteralLike, model) -> bool:

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .generate import GenParams, generate
-from .pipeline import SolverConfig, SolveStatus, solve
+from .pipeline import SolverConfig, solve
 
 ROW_FIELDS = [
     "class", "nodes", "vehicles", "jobs", "edge_reduction", "horizon", "seed",

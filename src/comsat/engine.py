@@ -5,10 +5,10 @@ cardinality propagation, first-UIP clause learning) combined with an
 incremental difference-logic theory: every assigned difference literal
 asserts one weighted edge, feasibility is maintained through potential
 repair, and an infeasible assertion yields the offending cycle as a
-conflict clause.  Optimization minimizes a weighted sum of boolean
-literals by branch-and-bound on its bound, propagated from the running sum
-of true literals, and reuses learned clauses across bounds (sound because
-bounds only tighten, so the constraint set only grows).
+conflict clause.  Optimization minimizes how many of a set of boolean
+variables are true by branch-and-bound on that count, propagated from the
+running count of true ones, and reuses learned clauses across bounds
+(sound because bounds only tighten, so the constraint set only grows).
 
 Literal encoding is MiniSat-style: variable ``v`` has positive literal
 ``2*v`` and negative literal ``2*v + 1``.  Boolean variables come first,
@@ -32,9 +32,8 @@ class EngineSpec:
         self._atom_index: dict[tuple[int, int, int], int] = {}
         self.clauses: list[list[int]] = []
         self.cards: list[tuple[list[int], int]] = []
-        self.obj_bool_terms: list[tuple[int, int]] = []
-        self.obj_shift = 0
-        self.has_objective = False
+        # Boolean variables whose true count is minimized, or None.
+        self.objective: list[int] | None = None
 
     def add_int(self, lo: int, hi: int) -> int:
         self.int_bounds.append((lo, hi))
@@ -63,11 +62,6 @@ class EngineSpec:
     def add_cardinality(self, bool_vars: list[int], n: int) -> None:
         members = list(dict.fromkeys(bool_vars))
         self.cards.append((members, n))
-
-    def set_objective(self, bool_terms, shift) -> None:
-        self.obj_bool_terms = bool_terms
-        self.obj_shift = shift
-        self.has_objective = True
 
 
 class _Clause:
@@ -215,11 +209,12 @@ class Engine:
             for v in members:
                 self.card_occ[v].append(card)
 
-        # Objective bookkeeping for branch-and-bound: the weight of each
-        # objective literal and the running weight of those on the trail.
-        self.pb_coeff: dict[int, int] = dict(spec.obj_bool_terms)
+        # Objective bookkeeping for branch-and-bound: the positive literals
+        # of the objective variables (a dict as an insertion-ordered set)
+        # and how many of them are on the trail.
+        self.pb_lits: dict[int, None] = dict.fromkeys(2 * v for v in spec.objective or ())
         self.pb_bound: int | None = None
-        self.pb_sum_true = 0
+        self.pb_count_true = 0
 
         self._init_done = False
 
@@ -273,9 +268,8 @@ class Engine:
                 card.count_true += 1
             else:
                 card.count_false += 1
-        coeff = self.pb_coeff.get(lit)
-        if coeff is not None:
-            self.pb_sum_true += coeff
+        if lit in self.pb_lits:
+            self.pb_count_true += 1
         return conflict
 
     def _backtrack(self, level: int) -> None:
@@ -296,9 +290,8 @@ class Engine:
                     card.count_true -= 1
                 else:
                     card.count_false -= 1
-            coeff = self.pb_coeff.get(lit)
-            if coeff is not None:
-                self.pb_sum_true -= coeff
+            if lit in self.pb_lits:
+                self.pb_count_true -= 1
         del self.trail_lim[level:]
         self.qhead = len(self.trail)
         while self.sat_stack and self.sat_stack[-1].sat_level > level:
@@ -394,19 +387,21 @@ class Engine:
 
     def _pb_premises(self) -> list[int]:
         out = []
-        for lit in self.pb_coeff:
+        for lit in self.pb_lits:
             v = self.assigns[lit >> 1]
             if v != 0:
                 out.append((lit ^ 1) if self._lit_true(lit) else lit)
         return out
 
     def _propagate_pb(self) -> list[int] | None:
-        slack = self.pb_bound - self.pb_sum_true
+        slack = self.pb_bound - self.pb_count_true
         if slack < 0:
             return self._pb_premises()
+        if slack > 0:
+            return None
         premises: list[int] | None = None
-        for lit, coeff in self.pb_coeff.items():
-            if self.assigns[lit >> 1] == 0 and coeff > slack:
+        for lit in self.pb_lits:
+            if self.assigns[lit >> 1] == 0:
                 if premises is None:
                     premises = self._pb_premises()
                 conflict = self._enqueue(lit ^ 1, [lit ^ 1] + premises)
@@ -458,7 +453,7 @@ class Engine:
                 best_key = None
                 for m in card.members:
                     if self.assigns[m] == 0:
-                        key = (self.pb_coeff.get(m * 2, 0), m)
+                        key = (m * 2 in self.pb_lits, m)
                         if best_key is None or key < best_key:
                             best_key = key
                             best_lit = m * 2
@@ -535,15 +530,13 @@ class Engine:
 
     def bound_objective(self, bound: int) -> bool:
         """Require objective <= bound for later solves; False when pointless."""
-        spec = self.spec
-        if not spec.has_objective:
+        if self.spec.objective is None:
             return False
         self._backtrack(0)
-        remaining = bound - spec.obj_shift
-        if remaining < 0:
+        if bound < 0:
             self.root_conflict = True
-            return True
-        self.pb_bound = remaining
+        else:
+            self.pb_bound = bound
         return True
 
     def model(self) -> tuple[list[bool], list[int]]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 START_JOB = "start"
 END_JOB = "end"
@@ -232,21 +232,14 @@ def _validate_job_structure(job: Job, graph: Graph, horizon: int) -> None:
 
     # Precedence must be acyclic, and some task (the delivery) must come
     # after every other task of the job, transitively.
-    preds = {t.name: set(t.predecessors) for t in job.tasks}
-    order: list[str] = []
-    pending = dict(preds)
+    pending = {t.name: set(t.predecessors) for t in job.tasks}
     while pending:
         ready = [n for n, p in pending.items() if not (p & pending.keys())]
         _require(bool(ready), f"job {job.name!r} has a precedence cycle")
-        for n in sorted(ready):
-            order.append(n)
+        for n in ready:
             del pending[n]
-    closure: dict[str, set[str]] = {}
-    for n in order:
-        closure[n] = set(preds[n])
-        for p in preds[n]:
-            closure[n] |= closure[p]
     if len(job.tasks) > 1:
+        closure = transitive_predecessors(job)
         _require(
             any(closure[n] == set(names) - {n} for n in names),
             f"job {job.name!r} has no delivery task preceded by all of its pickups",

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import backend as B
-from .instance import END_JOB, START_JOB, Instance, Job, transitive_predecessors
+from .instance import END_JOB, START_JOB, Instance, transitive_predecessors
 from .paths import PathCombination
 
 
@@ -78,7 +78,6 @@ def router(
     task_of = {(j.name, t.name): t for j in inst.jobs for t in j.tasks}
 
     ctx = B.SolverContext()
-    horizon = inst.horizon
     cap = inst.fleet.operating_range
     discharge = inst.fleet.discharge_coeff
 
@@ -122,29 +121,17 @@ def router(
     for key in customers:
         by_location.setdefault(task_of[key].location, []).append(key)
     for group in by_location.values():
-        if len(group) < 2:
-            continue
-        order: dict[tuple[TaskKey, TaskKey], B.Literal] = {}
-        for i, a in enumerate(group):
-            for b in group[i + 1 :]:
-                var = ctx.bool_var(f"colo_{a[0]}.{a[1]}__{b[0]}.{b[1]}")
-                order[(a, b)] = B.Literal(var, True)
-                order[(b, a)] = B.Literal(var, False)
-        for a in group:
-            for b in group:
-                if a == b:
-                    continue
-                ctx.add(B.implies(arc(a, b), order[(a, b)]))
-                for c in group:
-                    if c not in (a, b):
-                        ctx.add(B.clause(~order[(a, b)], ~order[(b, c)], order[(a, c)]))
+        _strict_order(ctx, "colo", group, arc)
 
     # Tasks of one job ride together: they form one consecutive block, in
-    # some order compatible with the job's precedence relation.
+    # some order compatible with the job's precedence relation.  The order
+    # agrees with every arc chosen inside the job, so exactly ``n - 1`` such
+    # arcs chain all ``n`` tasks into one block.
     for job in inst.customer_jobs():
         keys = [(job.name, t.name) for t in job.tasks]
         if len(keys) >= 2:
-            _chain_by_order_bools(ctx, job, keys, arc)
+            _strict_order(ctx, "before", keys, arc, transitive_predecessors(job))
+            ctx.add(B.exactly_n([arc(a, b) for a in keys for b in keys if a != b], len(keys) - 1))
 
     # Deliveries happen no earlier than their pickups.
     for job in inst.customer_jobs():
@@ -155,7 +142,7 @@ def router(
     for old in prev:
         ctx.add(B.clause(*[~arcs[pair] for pair in old.chosen_dirs if pair in arcs]))
 
-    ctx.minimize(B.LinExpr({arc(start_key, t): 1 for t in customers}, 0))
+    ctx.minimize(arc(start_key, t) for t in customers)
 
     result = ctx.check_minimize(timeout=timeout)
     if result.status == B.Status.TIMEOUT:
@@ -165,33 +152,29 @@ def router(
     return _extract_routes(inst, paths, result.model, arcs, cs, customers, start_key, end_key, task_of)
 
 
-def _chain_by_order_bools(ctx: B.SolverContext, job: Job, keys: list[TaskKey], arc) -> None:
-    """Make the job's tasks one consecutive block in a precedence-compatible order.
+def _strict_order(ctx: B.SolverContext, prefix: str, keys: list[TaskKey], arc, closure=None) -> None:
+    """One order variable per pair of ``keys``, kept transitive.
 
-    One order variable per task pair, kept transitive, must agree with the
-    job's precedence relation and with every arc chosen inside the job;
-    exactly ``len(keys) - 1`` such arcs then chain all tasks into one block.
+    Every arc chosen between two keys follows the order.  ``closure`` maps
+    a task name to the names of the tasks it must follow (keys of one job
+    only).
     """
-    closure = transitive_predecessors(job)
     before: dict[tuple[TaskKey, TaskKey], B.Literal] = {}
     for i, a in enumerate(keys):
         for b in keys[i + 1 :]:
-            var = ctx.bool_var(f"before_{job.name}_{a[1]}_{b[1]}")
+            var = ctx.bool_var(f"{prefix}_{a[0]}.{a[1]}__{b[0]}.{b[1]}")
             before[(a, b)] = B.Literal(var, True)
             before[(b, a)] = B.Literal(var, False)
     for a in keys:
         for b in keys:
             if a == b:
                 continue
-            if b[1] in closure[a[1]]:
+            if closure is not None and b[1] in closure[a[1]]:
                 ctx.add(B.clause(before[(b, a)]))
             ctx.add(B.implies(arc(a, b), before[(a, b)]))
             for c in keys:
-                if c in (a, b):
-                    continue
-                ctx.add(B.clause(~before[(a, b)], ~before[(b, c)], before[(a, c)]))
-    within = [arc(a, b) for a in keys for b in keys if a != b]
-    ctx.add(B.exactly_n(within, len(keys) - 1))
+                if c not in (a, b):
+                    ctx.add(B.clause(~before[(a, b)], ~before[(b, c)], before[(a, c)]))
 
 
 def _extract_routes(inst, paths, model, arcs, cs, customers, start_key, end_key, task_of) -> RouteSet:

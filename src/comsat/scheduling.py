@@ -220,10 +220,12 @@ def scheduler(
     for (u, v), occurrences in by_edge.items():
         length = edge_map[(u, v)].length
         capacity = edge_map[(u, v)].capacity
-        cross = [(a, b) for a, b in itertools.combinations(occurrences, 2) if a[0] != b[0]]
         # At most `capacity` simultaneous same-direction occupants: in every
         # group of capacity+1 traversals, some pair must be a full travel
-        # time apart.
+        # time apart.  Two entries at one instant need no rule of their own:
+        # they would reach the sink together, or, when the sink is the
+        # depot, leave the (non-depot) source together, and node occupancy
+        # forbids both.
         if len(occurrences) > capacity:
             for subset in itertools.combinations(occurrences, capacity + 1):
                 if len({o[0] for o in subset}) < 2:
@@ -234,14 +236,6 @@ def scheduler(
                     if ta != tb
                 ]
                 ctx.add(B.clause(*lits))
-        if capacity > 1 and cross:
-            for (ta, pa), (tb, pb) in cross:
-                ctx.add(
-                    B.clause(
-                        edge_vars[ta][pa] - edge_vars[tb][pb] >= 1,
-                        edge_vars[tb][pb] - edge_vars[ta][pa] >= 1,
-                    )
-                )
 
         reverse = by_edge.get((v, u))
         if reverse and (u, v) < (v, u):
@@ -264,7 +258,7 @@ def scheduler(
     for ti, trace in enumerate(traces):
         per_vehicle.setdefault(trace.vehicle, []).append(ti)
     route_lengths = {ti: sum(e.length for e in trace.edges) for ti, trace in enumerate(traces)}
-    for vehicle, items in per_vehicle.items():
+    for items in per_vehicle.values():
         items.sort(key=lambda ti: (traces[ti].start, traces[ti].route_index))
         for earlier, later in zip(items, items[1:]):
             gap = math.ceil(charge * route_lengths[later])

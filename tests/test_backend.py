@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -83,43 +84,26 @@ def test_exactly_n_out_of_range_rejected():
         B.exactly_n([x], 2)
 
 
-def test_ite_constant_arms():
-    ctx = B.SolverContext()
-    c = ctx.bool_var("c")
-    expr = 5 * c
-    assert B.evaluate_expr(expr, {c: True}) == 5
-    assert B.evaluate_expr(expr, {c: False}) == 0
-
-
-def test_ite_objective_semantics_hand_model():
-    # Two pairs, two candidates each, costs (3, 5) and (2, 4); selecting the
-    # first candidate of each pair must price the combination at 5.
-    ctx = B.SolverContext()
-    picks = [ctx.bool_var(f"p{i}") for i in range(4)]
-    objective = 3 * picks[0] + 5 * picks[1] + 2 * picks[2] + 4 * picks[3]
-    model = {picks[0]: True, picks[1]: False, picks[2]: True, picks[3]: False}
-    assert B.evaluate_expr(objective, model) == 5
-
-
 def test_minimize_rejects_integer_objective():
     ctx = B.SolverContext()
     x = ctx.int_var("x", 0, 50)
     ctx.add(x >= 3)
     with pytest.raises(B.UnsupportedExpression):
-        ctx.minimize(B.LinExpr({x: 1}, 0))
+        ctx.minimize([x])
     assert ctx.objective is None
 
 
 def test_minimize_rejects_mixed_objective():
-    # Minimizing 10*b + x subject to b or x >= 5 used to loop forever:
-    # only the integer term was bounded, so branch-and-bound kept
+    # Minimizing a weighted b plus x subject to b or x >= 5 used to loop
+    # forever: only the integer term was bounded, so branch-and-bound kept
     # re-finding the same model.
     ctx = B.SolverContext()
     b = ctx.bool_var("b")
     x = ctx.int_var("x", 0, 50)
     ctx.add(B.clause(b, x >= 5))
     with pytest.raises(B.UnsupportedExpression):
-        ctx.minimize(10 * b + x)
+        ctx.minimize([b, x])
+    assert ctx.objective is None
     res = ctx.check_minimize()
     assert res.status == B.Status.SAT and (res.model[b] or res.model[x] >= 5)
 
@@ -132,15 +116,29 @@ def test_check_minimize_contradiction():
     assert ctx.check_minimize().status == B.Status.UNSAT
 
 
-def test_check_minimize_two_pairs_objective_five():
+def test_check_minimize_counts_true_objective_booleans():
+    # Two pairs, one pick from each; counting the first pick of pair 1 and
+    # both picks of pair 2, the minimum is one: the second pick of pair 1.
     ctx = B.SolverContext()
     p1 = [ctx.bool_var("p1a"), ctx.bool_var("p1b")]
     p2 = [ctx.bool_var("p2a"), ctx.bool_var("p2b")]
     ctx.add(B.exactly_one(p1))
     ctx.add(B.exactly_one(p2))
-    ctx.minimize(3 * p1[0] + 5 * p1[1] + 2 * p2[0] + 4 * p2[1])
+    ctx.minimize([p1[0], p2[0], p2[1]])
     res = ctx.check_minimize()
-    assert res.status == B.Status.SAT and res.objective == 5
+    assert res.status == B.Status.SAT and res.objective == 1
+    assert res.model[p1[1]] and not res.model[p1[0]]
+
+
+def test_minimize_counts_a_repeated_boolean_once():
+    # Counted twice, the forced b would leave branch-and-bound bounding the
+    # objective at 1 and re-finding the model worth 2 until the timeout.
+    ctx = B.SolverContext()
+    b = ctx.bool_var("b")
+    ctx.add(B.clause(b))
+    ctx.minimize([b, b])
+    res = ctx.check_minimize(timeout=5.0)
+    assert res.status == B.Status.SAT and res.objective == 1
 
 
 def test_timeout_is_distinguished():
@@ -164,10 +162,7 @@ def _random_context(rng: random.Random):
         else:
             lits = [m if rng.random() < 0.5 else ~m for m in members]
             ctx.add(B.clause(*lits))
-    objective = B.LinExpr({}, 0)
-    for v in rng.sample(vars_, rng.randint(1, n)):
-        objective = objective + rng.randint(1, 9) * v
-    return ctx, objective
+    return ctx, rng.sample(vars_, rng.randint(1, n))
 
 
 def test_soundness_models_satisfy_constraints():
@@ -189,7 +184,7 @@ def test_optimality_matches_brute_force():
         best = None
         for assignment in all_bool_assignments(ctx):
             if all(B.evaluate_constraint(c, assignment) for c in ctx.constraints):
-                value = B.evaluate_expr(objective, assignment)
+                value = sum(assignment[v] for v in objective)
                 best = value if best is None else min(best, value)
         if best is None:
             assert res.status == B.Status.UNSAT
@@ -212,6 +207,37 @@ def test_difference_chain_and_model_values():
     assert m[a] >= 1 and m[b] - m[a] >= 4 and m[c] - m[b] >= 2
     # Minimal (earliest) values are returned.
     assert (m[a], m[b], m[c]) == (1, 5, 7)
+
+
+def test_atoms_are_differences_and_bounds():
+    ctx = B.SolverContext()
+    x = ctx.int_var("x", 0, 10)
+    y = ctx.int_var("y", 0, 10)
+    for atom, expected in [
+        (x - y <= 3, (x, y, 3)),
+        (x - y >= 3, (y, x, -3)),
+        (x <= 4, (x, None, 4)),
+        (x >= 4, (None, x, -4)),
+    ]:
+        assert (atom.x, atom.y, atom.k) == expected
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x, y: x <= Fraction(1, 2),
+        lambda x, y: x - y >= Fraction(3, 2),
+        lambda x, y: x - y <= 1.0,
+        lambda x, y: x - 1,
+    ],
+    ids=["bound", "difference", "float", "minus-constant"],
+)
+def test_expression_outside_differences_rejected(build):
+    ctx = B.SolverContext()
+    x = ctx.int_var("x", 0, 10)
+    y = ctx.int_var("y", 0, 10)
+    with pytest.raises(B.UnsupportedExpression):
+        build(x, y)
 
 
 def test_negated_atom_in_clause():

@@ -200,3 +200,35 @@ def test_schedule_json_round_trip(plant21):
     assert [st.edge_times for st in again.traces] == [st.edge_times for st in sched.traces]
     assert [st.trace.nodes for st in again.traces] == [st.trace.nodes for st in sched.traces]
     assert [st.trace.serves for st in again.traces] == [st.trace.serves for st in sched.traces]
+
+
+@pytest.mark.parametrize("capacity", [2, 1])
+def test_capacity_two_segment_overlaps_transits(capacity):
+    # Two vehicles run 0 -> 1 -> 2 -> 0 from the depot; only (0, 1) is long
+    # and wide.  Entering it together would put both on node 1 at once, so
+    # the second enters one step later and the transits overlap; one lane
+    # cannot fit both runs in the horizon.
+    from comsat.instance import Edge
+    from comsat.scheduling import RouteTrace
+    from comsat.validation import validate
+
+    inst = make_instance(
+        nodes=[0, 1, 2],
+        depot=0,
+        segments=[(0, 1, 3, capacity), (1, 2, 1, 1), (2, 0, 1, 1)],
+        vehicles=["R1", "R2"],
+        jobs={},
+        horizon=6,
+        directed=True,
+    )
+    edges = (Edge(0, 1, 3, capacity), Edge(1, 2, 1, 1), Edge(2, 0, 1, 1))
+    windows = ((0, None),) * 4
+    traces = [RouteTrace(i, v, 0, (0, 1, 2, 0), windows, edges) for i, v in enumerate(["R1", "R2"])]
+    asg = Assignment(vehicles=("R1", "R2"), starts=(0, 0), ends=(5, 5))
+    sched = scheduler(inst, traces, asg)
+    if capacity == 1:
+        assert sched is None
+        return
+    assert sched is not None
+    assert sorted(st.edge_times[0] for st in sched.traces) == [0, 1]
+    assert validate(inst, sched, asg).ok
