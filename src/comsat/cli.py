@@ -13,7 +13,7 @@ from pathlib import Path
 from .assignment import assignment_from_json
 from .bench import bench
 from .generate import GenParams, generate
-from .instance import InstanceError, parse_instance, serialize_instance
+from .instance import InstanceError, json_fields, parse_instance, serialize_instance
 from .pipeline import SolverConfig, SolveStatus, solve
 from .scheduling import schedule_from_json
 from .validation import ValidationInputError, validate
@@ -103,27 +103,37 @@ def _cmd_validate(args) -> int:
     return 1
 
 
-def _cmd_bench(args) -> int:
-    doc = json.loads(args.grid.read_text())
-    grid = []
-    for entry in doc["classes"]:
-        for seed in entry["seeds"]:
-            grid.append(
-                GenParams(
-                    nodes=entry["nodes"],
-                    vehicles=entry["vehicles"],
-                    jobs=entry["jobs"],
-                    edge_reduction=entry.get("edge_reduction", 0),
-                    horizon=entry["horizon"],
-                    seed=seed,
-                )
-            )
-    cfg = SolverConfig(
-        max_paths=doc.get("max_paths", 10),
-        max_route_iters=doc.get("max_route_iters", 10),
-        stage_timeout=doc.get("stage_timeout", 60.0),
-        total_timeout=doc.get("timeout", 300.0),
+def _read_grid(doc) -> tuple[list[GenParams], SolverConfig]:
+    """Instance classes and solver caps of a ``comsat bench`` grid document."""
+    defaults = {"max_paths": 10, "max_route_iters": 10, "stage_timeout": 60.0, "timeout": 300.0}
+    classes, max_paths, max_route_iters = json_fields(
+        {**defaults, **doc} if isinstance(doc, dict) else doc, "grid",
+        classes=list, max_paths=int, max_route_iters=int,
     )
+    timeouts = []
+    for key in ("stage_timeout", "timeout"):
+        value = doc.get(key, defaults[key])
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationInputError(f"grid {key!r} must be a number, got {value!r}")
+        timeouts.append(float(value))
+    grid = []
+    for entry in classes:
+        nodes, vehicles, jobs, edge_reduction, horizon, seeds = json_fields(
+            {"edge_reduction": 0, **entry} if isinstance(entry, dict) else entry, "grid class",
+            nodes=int, vehicles=int, jobs=int, edge_reduction=int, horizon=int, seeds=list,
+        )
+        for seed in seeds:
+            if isinstance(seed, bool) or not isinstance(seed, int):
+                raise ValidationInputError(f"grid class seeds must be integers, got {seed!r}")
+            grid.append(GenParams(nodes=nodes, vehicles=vehicles, jobs=jobs,
+                                  edge_reduction=edge_reduction, horizon=horizon, seed=seed))
+    cfg = SolverConfig(max_paths=max_paths, max_route_iters=max_route_iters,
+                       stage_timeout=timeouts[0], total_timeout=timeouts[1])
+    return grid, cfg
+
+
+def _cmd_bench(args) -> int:
+    grid, cfg = _read_grid(json.loads(args.grid.read_text()))
     results = bench(grid, cfg)
     args.out.write_text(results.to_csv())
     for row in results.aggregates:

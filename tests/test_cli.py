@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import comsat
 from comsat.cli import main
 
 
@@ -162,3 +167,42 @@ def test_bench_writes_csv_with_aggregates(tmp_path, capsys):
     assert "feasible" in text
     stdout = capsys.readouterr().out
     assert "feasible" in stdout
+
+
+GRID_CLASS = {"nodes": 8, "vehicles": 2, "jobs": 2, "horizon": 20, "seeds": [1]}
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {},
+        {"classes": [{"nodes": 15}]},
+        [1],
+        {"classes": [1]},
+        {"classes": [{**GRID_CLASS, "seeds": ["1"]}]},
+        {"classes": [{**GRID_CLASS, "edge_reduction": None}]},
+        {"classes": [GRID_CLASS], "max_paths": 2.5},
+        {"classes": [GRID_CLASS], "timeout": "20"},
+    ],
+    ids=["empty", "class-without-seeds", "not-an-object", "class-not-an-object",
+         "seed-not-int", "reduction-not-int", "max-paths-not-int", "timeout-not-number"],
+)
+def test_bench_malformed_grid_exit_3(tmp_path, capsys, grid):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    assert main(["bench", "--grid", str(grid_path), "--out", str(tmp_path / "out.csv")]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_python_m_comsat_runs_the_cli(tmp_path):
+    out = tmp_path / "inst.json"
+    src = Path(comsat.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "comsat", "gen", "--nodes", "6", "--vehicles", "1", "--jobs", "1",
+         "--horizon", "20", "--seed", "0", "-o", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["nodes"]

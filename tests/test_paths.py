@@ -91,6 +91,7 @@ def test_k_shortest_matches_exhaustive(seed, k):
 
 def test_enumerate_paths_pairs_exclude_identical(plant21):
     table = enumerate_paths(plant21, 3)
+    table.complete()
     assert all(a != b for a, b in table.pairs)
     locations = set(plant21.task_locations())
     assert {a for a, _ in table.pairs} == locations
@@ -122,12 +123,14 @@ def test_pathfinder_forced_selection_then_exhausted(line3):
 def test_pathfinder_first_call_is_pairwise_minimal(plant21):
     table = enumerate_paths(plant21, 10)
     combo = pathfinder(table, UsedPaths())
+    table.complete()
     best = sum(min(p.hops for p in table.candidates[pair]) for pair in table.pairs)
     assert combo.total_hops == best
 
 
 def test_pathfinder_successive_calls_distinct_non_decreasing(line3):
     table = enumerate_paths(line3, 4)
+    table.complete()
     used = UsedPaths()
     seen = set()
     last = -1
@@ -160,6 +163,7 @@ def test_pathfinder_two_pairs_derived_sequence():
     table = enumerate_paths(inst, 2)
     combo = pathfinder(table, UsedPaths())
     hops = {pair: len(combo.path(*pair).nodes) for pair in table.pairs}
+    table.complete()
     brute = []
     for choice in itertools.product(*[range(len(table.candidates[p])) for p in table.pairs]):
         total = sum(
@@ -241,4 +245,46 @@ def test_pathfinder_first_selection_is_pairwise_argmin(plant21):
     for inst in (plant21, generated):
         table = enumerate_paths(inst, 10)
         combo = pathfinder(table, UsedPaths())
+        table.complete()
         assert combo.selection == _argmin_selection(table)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_completed_table_matches_exhaustive(seed, k):
+    inst = generate(tiny_params(seed))
+    table = enumerate_paths(inst, k)
+    prefixes = dict(table.candidates)
+    table.complete()
+    for source, target in table.pairs:
+        got = table.candidates[(source, target)]
+        assert got[: len(prefixes[(source, target)])] == prefixes[(source, target)]
+        assert [(p.length, p.nodes) for p in got] == _all_simple_paths(inst.graph, source, target)[:k]
+
+
+def test_lazy_table_gives_the_same_combinations():
+    # 22 of this instance's 110 pairs pick away from candidate 0.
+    inst = generate(GenParams(nodes=15, vehicles=3, jobs=5, edge_reduction=25, horizon=20, seed=3))
+    lazy, eager = enumerate_paths(inst, 10), enumerate_paths(inst, 10)
+    eager.complete()
+    sequences = []
+    for table in (lazy, eager):
+        used = UsedPaths()
+        for _ in range(60):
+            used.add(pathfinder(table, used))
+        sequences.append([combo.key() for combo in used])
+    assert sequences[0] == sequences[1]
+    assert lazy.candidates == eager.candidates
+
+
+def test_enumerate_paths_lists_only_what_the_first_pick_needs(plant21):
+    table = enumerate_paths(plant21, 10)
+    listed = sum(len(c) for c in table.candidates.values())
+    assert listed < len(table.pairs) * 10
+    combo = pathfinder(table, UsedPaths())
+    assert sum(len(c) for c in table.candidates.values()) == listed
+    table.complete()
+    assert sum(len(c) for c in table.candidates.values()) > listed
+    for source, target in table.pairs:
+        assert list(table.candidates[(source, target)]) == k_shortest_paths(plant21.graph, source, target, 10)
+    assert combo.selection == _argmin_selection(table)

@@ -168,6 +168,24 @@ def test_blocking_returns_different_dir_model(plant21):
     assert set(second.chosen_dirs) != set(first.chosen_dirs)
 
 
+@pytest.mark.parametrize("first, second", [
+    (("a.b", "c"), ("a", "b.c")),
+    (("a_b", "c"), ("a", "b_c")),
+], ids=["dot", "underscore"])
+def test_tasks_whose_joined_names_coincide(first, second):
+    inst = make_instance(
+        nodes=[0, 1, 2],
+        depot=0,
+        segments=[(0, 1, 1, 1), (1, 2, 1, 1)],
+        jobs={first[0]: {"tasks": {first[1]: (1, 0, None)}},
+              second[0]: {"tasks": {second[1]: (2, 0, None)}}},
+        horizon=20,
+    )
+    result = solve(inst, SolverConfig(total_timeout=30.0, stage_timeout=30.0))
+    assert result.status == SolveStatus.SAT
+    assert validate(inst, result.schedule, result.assignment).ok
+
+
 def test_out_of_range_job_is_infeasible():
     # The only task sits 10 units away; round trip 20 exceeds the range 15.
     inst = make_instance(
