@@ -20,9 +20,9 @@ from .instance import (
     parse_instance,
     serialize_instance,
 )
-from .paths import Path, PathCombination, PathTable, UsedPaths, enumerate_paths, pathfinder
+from .paths import Path, PathCombination, PathTable, enumerate_paths, pathfinder
 from .routing import Route, RouteSet, RouterError, router
-from .assignment import Assignment, RouteMeta, assign
+from .assignment import Assignment, assign
 from .scheduling import RouteTrace, Schedule, expand_routes, scheduler
 from .pipeline import SolveResult, SolverConfig, solve
 from .validation import ValidationReport, Violation, validate
@@ -45,7 +45,6 @@ __all__ = [
     "PathCombination",
     "PathTable",
     "Route",
-    "RouteMeta",
     "RouteSet",
     "RouteTrace",
     "RouterError",
@@ -53,7 +52,6 @@ __all__ = [
     "SolveResult",
     "SolverConfig",
     "Task",
-    "UsedPaths",
     "ValidationReport",
     "Violation",
     "bench",

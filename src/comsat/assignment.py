@@ -19,14 +19,6 @@ from .routing import Route, RouteSet
 
 
 @dataclass(frozen=True)
-class RouteMeta:
-    route: Route
-    eligible: tuple[str, ...]
-    length: int
-    latest_start: int
-
-
-@dataclass(frozen=True)
 class Assignment:
     vehicles: tuple[str, ...]
     starts: tuple[int, ...]
@@ -58,12 +50,10 @@ def assignment_from_json(text: str) -> Assignment:
     )
 
 
-def route_meta(inst: Instance, route: Route) -> RouteMeta:
-    eligible = set(inst.fleet.vehicles)
-    for job_name in route.jobs:
-        eligible &= inst.job(job_name).eligible
-    ordered = tuple(v for v in inst.fleet.vehicles if v in eligible)
-    return RouteMeta(route=route, eligible=ordered, length=route.length, latest_start=route.latest_start)
+def _eligible_vehicles(inst: Instance, route: Route) -> list[str]:
+    """The vehicles every job of ``route`` accepts, in fleet order."""
+    accepted = [inst.job(name).eligible for name in route.jobs]
+    return [v for v in inst.fleet.vehicles if all(v in eligible for eligible in accepted)]
 
 
 def assign(
@@ -77,35 +67,28 @@ def assign(
     infeasible without invoking the backend.  Raises TimeoutError when the
     backend gives up.
     """
-    metas = [route_meta(inst, r) for r in routes.routes]
-    if not metas:
+    rs = routes.routes
+    if not rs:
         return Assignment(vehicles=(), starts=(), ends=())
-    for meta in metas:
-        if not meta.eligible or meta.latest_start < 0:
-            return None
+    eligible = [_eligible_vehicles(inst, r) for r in rs]
+    if not all(eligible) or any(r.latest_start < 0 for r in rs):
+        return None
 
     ctx = B.SolverContext()
     horizon = inst.horizon
     charge = inst.fleet.charge_coeff
-    starts = [
-        ctx.int_var(f"start_{i}", 0, min(meta.latest_start, horizon))
-        for i, meta in enumerate(metas)
-    ]
-    ends = [ctx.int_var(f"end_{i}", 0, horizon) for i in range(len(metas))]
-    allo = [
-        {v: ctx.bool_var(f"allo_{v}_{i}") for v in inst.fleet.vehicles}
-        for i in range(len(metas))
-    ]
-    for i, meta in enumerate(metas):
-        ctx.add(ends[i] - starts[i] <= meta.length)
-        ctx.add(ends[i] - starts[i] >= meta.length)
+    starts = [ctx.int_var(0, min(r.latest_start, horizon)) for r in rs]
+    ends = [ctx.int_var(0, horizon) for _ in rs]
+    allo = [{v: ctx.bool_var() for v in inst.fleet.vehicles} for _ in rs]
+    for i, r in enumerate(rs):
+        ctx.add(ends[i] - starts[i] <= r.length)
+        ctx.add(ends[i] - starts[i] >= r.length)
         ctx.add(B.exactly_one(list(allo[i].values())))
-        ctx.add(B.clause(*[allo[i][v] for v in meta.eligible]))
-    for i, meta_i in enumerate(metas):
-        for j in range(i + 1, len(metas)):
-            meta_j = metas[j]
-            gap_i = math.ceil(charge * meta_i.length)
-            gap_j = math.ceil(charge * meta_j.length)
+        ctx.add(B.clause(*[allo[i][v] for v in eligible[i]]))
+    for i, r_i in enumerate(rs):
+        for j in range(i + 1, len(rs)):
+            gap_i = math.ceil(charge * r_i.length)
+            gap_j = math.ceil(charge * rs[j].length)
             for v in inst.fleet.vehicles:
                 ctx.add(
                     B.implies(
@@ -114,17 +97,11 @@ def assign(
                     )
                 )
 
-    result = ctx.check_minimize(timeout=timeout)
-    if result.status == B.Status.TIMEOUT:
-        raise TimeoutError("assignment timed out")
-    if result.status == B.Status.UNSAT:
+    model = ctx.check_minimize(timeout=timeout)
+    if model is None:
         return None
-    model = result.model
-    chosen = []
-    for i in range(len(metas)):
-        chosen.append(next(v for v in inst.fleet.vehicles if model[allo[i][v]]))
     return Assignment(
-        vehicles=tuple(chosen),
+        vehicles=tuple(next(v for v in inst.fleet.vehicles if model[a[v]]) for a in allo),
         starts=tuple(model[s] for s in starts),
         ends=tuple(model[e] for e in ends),
     )

@@ -12,16 +12,17 @@ assignment, and scheduling models need:
 
 The engine behind :meth:`SolverContext.check_minimize` is a DPLL-style
 search with cardinality propagation and an incremental difference-logic
-theory; optimization is branch-and-bound over objective bounds.  Timeouts
-are a first-class result so callers can report ``unknown`` instead of
-mislabelling a truncated search as infeasible.
+theory; optimization is branch-and-bound over objective bounds.  A check
+returns a model or None (infeasible); when the engine runs out of time it
+raises ``TimeoutError``, so a truncated search is never mislabelled as
+infeasible.  Variables are anonymous: each is known by its object and its
+index in the context.
 
 A context is single-threaded; distinct contexts may be used concurrently.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -39,18 +40,16 @@ class UnsupportedExpression(BackendError):
 class BoolRef:
     """Boolean decision variable."""
 
-    __slots__ = ("ctx", "index", "name")
+    __slots__ = ("index",)
 
-    def __init__(self, ctx: "SolverContext", index: int, name: str):
-        self.ctx = ctx
+    def __init__(self, index: int):
         self.index = index
-        self.name = name
 
     def __invert__(self) -> "Literal":
         return Literal(self, False)
 
     def __repr__(self) -> str:
-        return f"Bool({self.name})"
+        return f"Bool({self.index})"
 
 
 def _constant(k) -> int:
@@ -62,17 +61,15 @@ def _constant(k) -> int:
 class IntRef:
     """Bounded integer decision variable."""
 
-    __slots__ = ("ctx", "index", "name", "lo", "hi")
+    __slots__ = ("index", "lo", "hi")
 
-    def __init__(self, ctx: "SolverContext", index: int, name: str, lo: int, hi: int):
-        self.ctx = ctx
+    def __init__(self, index: int, lo: int, hi: int):
         self.index = index
-        self.name = name
         self.lo = lo
         self.hi = hi
 
     def __repr__(self) -> str:
-        return f"Int({self.name})"
+        return f"Int({self.index})"
 
     def __sub__(self, other: "IntRef") -> "Difference":
         if not isinstance(other, IntRef):
@@ -119,14 +116,8 @@ class Atom:
     def __invert__(self) -> "Literal":
         return Literal(self, False)
 
-    def negated(self) -> "Atom":
-        # not(x - y <= k)  <=>  y - x <= -k - 1 over the integers
-        return Atom(self.y, self.x, -self.k - 1)
-
     def __repr__(self) -> str:
-        lhs = self.x.name if self.x else "0"
-        rhs = self.y.name if self.y else "0"
-        return f"({lhs} - {rhs} <= {self.k})"
+        return f"({self.x or 0} - {self.y or 0} <= {self.k})"
 
 
 class Literal:
@@ -201,12 +192,6 @@ def exactly_n(vars: Iterable[BoolRef], n: int) -> Cardinality:
     return Cardinality(vs, n)
 
 
-class Status(enum.Enum):
-    SAT = "sat"
-    UNSAT = "unsat"
-    TIMEOUT = "timeout"
-
-
 class Model:
     """Value assignment for every variable of a context after a SAT check."""
 
@@ -222,13 +207,6 @@ class Model:
         raise KeyError(ref)
 
 
-@dataclass
-class CheckResult:
-    status: Status
-    model: Model | None = None
-    objective: int | None = None
-
-
 class SolverContext:
     """Declarative store of variables, constraints, and an optional objective."""
 
@@ -237,24 +215,16 @@ class SolverContext:
         self.ints: list[IntRef] = []
         self.constraints: list[Constraint] = []
         self.objective: list[BoolRef] | None = None
-        self._names: set[str] = set()
 
-    def _register(self, name: str) -> None:
-        if name in self._names:
-            raise BackendError(f"duplicate variable name {name!r}")
-        self._names.add(name)
-
-    def bool_var(self, name: str) -> BoolRef:
-        self._register(name)
-        ref = BoolRef(self, len(self.bools), name)
+    def bool_var(self) -> BoolRef:
+        ref = BoolRef(len(self.bools))
         self.bools.append(ref)
         return ref
 
-    def int_var(self, name: str, lo: int, hi: int) -> IntRef:
+    def int_var(self, lo: int, hi: int) -> IntRef:
         if lo > hi:
-            raise BackendError(f"empty domain for {name!r}: [{lo}, {hi}]")
-        self._register(name)
-        ref = IntRef(self, len(self.ints), name, lo, hi)
+            raise BackendError(f"empty domain [{lo}, {hi}]")
+        ref = IntRef(len(self.ints), lo, hi)
         self.ints.append(ref)
         return ref
 
@@ -277,36 +247,20 @@ class SolverContext:
 
     # -- solving ---------------------------------------------------------
 
-    def check_minimize(self, timeout: float | None = None) -> CheckResult:
+    def check_minimize(self, timeout: float | None = None) -> Model | None:
         """Decide the context; with an objective, prove the minimum.
 
-        Returns SAT with an optimal model, UNSAT, or TIMEOUT (never a
-        silent UNSAT on resource exhaustion).
+        Returns an optimal model, or None when the context is infeasible.
+        Raises TimeoutError when the engine runs out of time, never a
+        silent None.
         """
-        spec = self._compile()
-        engine = Engine(spec, timeout=timeout)
-        status = engine.solve()
-        if status == "timeout":
-            return CheckResult(Status.TIMEOUT)
-        if status == "unsat":
-            return CheckResult(Status.UNSAT)
-        model = self._extract(engine)
-        if self.objective is None:
-            return CheckResult(Status.SAT, model)
-
-        best = model
-        best_value = self._count_true(model)
-        while True:
-            if not engine.bound_objective(best_value - 1):
-                break
-            status = engine.solve()
-            if status == "timeout":
-                return CheckResult(Status.TIMEOUT)
-            if status == "unsat":
-                break
+        engine = Engine(self._compile(), timeout=timeout)
+        best = None
+        while _found(engine.solve()):
             best = self._extract(engine)
-            best_value = self._count_true(best)
-        return CheckResult(Status.SAT, best, best_value)
+            if self.objective is None or not engine.bound_objective(self._count_true(best) - 1):
+                break
+        return best
 
     def _compile(self) -> EngineSpec:
         spec = EngineSpec(n_bools=len(self.bools))
@@ -336,6 +290,13 @@ class SolverContext:
     def _extract(self, engine: Engine) -> Model:
         bools, ints = engine.model()
         return Model(bools, ints[1 : len(self.ints) + 1])
+
+
+def _found(status: str) -> bool:
+    """Whether an engine search found a model; raises TimeoutError on a timeout."""
+    if status == "timeout":
+        raise TimeoutError("solver timed out")
+    return status == "sat"
 
 
 # -- independent evaluation (used by tests as the soundness oracle) -------

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 
 from .instance import Instance, parse_instance
 
+# Attempts, each from its own seeded stream, before generation gives up.
+MAX_RETRIES = 20
+
 
 class GenerationError(RuntimeError):
     pass
@@ -61,7 +64,7 @@ def _shortest_distances(n_nodes: int, segments, source: int) -> list[float]:
     return dist
 
 
-def generate(params: GenParams, max_retries: int = 20) -> Instance:
+def generate(params: GenParams) -> Instance:
     """Build a reproducible random instance within the given class."""
     if params.nodes < 2 or params.vehicles < 1 or params.jobs < 1:
         raise GenerationError("need at least 2 nodes, 1 vehicle, and 1 job")
@@ -71,7 +74,7 @@ def generate(params: GenParams, max_retries: int = 20) -> Instance:
         raise GenerationError("horizon must be positive")
 
     failures: list[str] = []
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         rng = random.Random(f"{params.seed}:{attempt}")
         try:
             return _generate_once(params, rng)

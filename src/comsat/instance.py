@@ -155,6 +155,12 @@ def _require(cond: bool, message: str) -> None:
         raise InstanceSemanticError(message)
 
 
+def _as_list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise InstanceSemanticError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _as_int(value: Any, what: str) -> int:
     # Fractional distances/times are rejected: the model works in whole
     # distance units, one unit per time step.
@@ -334,16 +340,19 @@ def parse_instance(text: str | bytes) -> Instance:
     unknown = raw.keys() - required
     _require(not unknown, f"unknown keys: {sorted(unknown)}")
 
-    nodes = frozenset(_as_int(n, "node id") for n in raw["nodes"])
-    _require(len(nodes) == len(raw["nodes"]), "duplicate node ids")
+    node_ids = _as_list(raw["nodes"], "'nodes'")
+    nodes = frozenset(_as_int(n, "node id") for n in node_ids)
+    _require(len(nodes) == len(node_ids), "duplicate node ids")
     depot = _as_int(raw["depot"], "depot")
     horizon = _as_int(raw["horizon"], "horizon")
 
     edges: list[Edge] = []
-    for item in raw["edges"]:
+    for item in _as_list(raw["edges"], "'edges'"):
         _require(isinstance(item, dict), "edge entries must be objects")
         extra = item.keys() - {"u", "v", "len", "cap", "directed"}
         _require(not extra, f"unknown edge keys: {sorted(extra)}")
+        missing = {"u", "v", "len", "cap"} - item.keys()
+        _require(not missing, f"edge is missing keys: {sorted(missing)}")
         u = _as_int(item["u"], "edge endpoint")
         v = _as_int(item["v"], "edge endpoint")
         length = _as_int(item["len"], "edge length")
@@ -356,7 +365,7 @@ def parse_instance(text: str | bytes) -> Instance:
             # with equal length and capacity.
             edges.append(Edge(v, u, length, cap))
 
-    vehicles = tuple(str(v) for v in raw["vehicles"])
+    vehicles = tuple(str(v) for v in _as_list(raw["vehicles"], "'vehicles'"))
     fleet = Fleet(
         vehicles=vehicles,
         operating_range=_as_int(raw["operating_range"], "operating_range"),
@@ -375,18 +384,18 @@ def parse_instance(text: str | bytes) -> Instance:
             # always the whole fleet.
             eligible = frozenset(vehicles)
         else:
-            eligible = frozenset(str(v) for v in body.get("eligible", []))
+            listed = _as_list(body.get("eligible", []), f"job {job_name!r} 'eligible'")
+            eligible = frozenset(str(v) for v in listed)
         tasks: list[Task] = []
         _require(isinstance(body.get("tasks"), dict), f"job {job_name!r} is missing tasks")
         for task_name, spec in body["tasks"].items():
-            _require(isinstance(spec, dict), f"task {job_name!r}/{task_name!r} must be an object")
+            what = f"task {job_name!r}/{task_name!r}"
+            _require(isinstance(spec, dict), f"{what} must be an object")
             extra = spec.keys() - {"location", "window", "precedes"}
             _require(not extra, f"unknown task keys for {job_name!r}/{task_name!r}: {sorted(extra)}")
+            _require("location" in spec, f"{what} is missing 'location'")
             window = spec.get("window", [0, None])
-            _require(
-                isinstance(window, list) and len(window) == 2,
-                f"task {job_name!r}/{task_name!r} window must be a two-element list",
-            )
+            _require(isinstance(window, list) and len(window) == 2, f"{what} window must be a two-element list")
             lo = _as_int(window[0], "window lower bound")
             hi = horizon if window[1] is None else _as_int(window[1], "window upper bound")
             tasks.append(
@@ -396,7 +405,7 @@ def parse_instance(text: str | bytes) -> Instance:
                     location=_as_int(spec["location"], "task location"),
                     window_lo=lo,
                     window_hi=hi,
-                    predecessors=frozenset(str(p) for p in spec.get("precedes", [])),
+                    predecessors=frozenset(str(p) for p in _as_list(spec.get("precedes", []), f"{what} 'precedes'")),
                 )
             )
         jobs.append(Job(name=job_name, tasks=tuple(tasks), eligible=eligible))

@@ -6,8 +6,9 @@ broken lexicographically by node sequence: Yen's deviation search whose
 spur search returns the lexicographically smallest shortest tail, with
 Lawler's rule of spurring only at and after the index where the last path
 deviated.  The selection problem then picks exactly one candidate per
-pair, minimizing the total number of nodes to visit, while excluding
-combinations already tried in earlier iterations.
+pair, minimizing the total number of nodes to visit; each call of the
+pathfinder resumes the table's own walk and hands out the next cheapest
+combination, so no combination is returned twice.
 
 The lists are built lazily.  ``enumerate_paths`` finds every pair's first
 candidate from one reverse Dijkstra tree per location and every pair's
@@ -48,13 +49,16 @@ class Path:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
+@dataclass
 class PathTable:
     """Each pair's K shortest paths, in order, as far as generated so far.
 
     A table from ``enumerate_paths`` lists every pair at least up to its
     first candidate of minimum node count; ``complete`` extends every pair
-    to its full list.
+    to its full list.  The table also carries the pathfinder's walk: its
+    frontier of ``(total, ranks, last)`` rank vectors, None before the
+    first call, and each pair's candidates ranked by ``(hops, index)``
+    once the walk has moved past its root.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -63,6 +67,10 @@ class PathTable:
     _rest: dict[tuple[int, int], Iterator[Path]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _frontier: list[tuple[int, tuple[int, ...], int]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _ranked: list[list[tuple[int, int]]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def complete(self) -> None:
         """Extend every pair's candidates to the first ``max_paths`` paths."""
@@ -93,33 +101,6 @@ class PathCombination:
 
     def key(self) -> tuple[int, ...]:
         return tuple(self.selection[p] for p in self.table.pairs)
-
-
-@dataclass
-class UsedPaths:
-    """Append-only history of combinations already handed downstream.
-
-    It also carries the pathfinder's enumeration frontier for ``table``, so
-    that successive calls resume where the previous one stopped, and each
-    pair's candidates ranked by ``(hops, index)`` once the frontier has
-    grown past its root.
-    """
-
-    history: list[PathCombination] = field(default_factory=list)
-    keys: set[tuple[int, ...]] = field(default_factory=set)
-    table: PathTable | None = None
-    frontier: list[tuple[int, tuple[int, ...], int]] = field(default_factory=list)
-    ranked: list[list[tuple[int, int]]] | None = None
-
-    def add(self, combo: PathCombination) -> None:
-        self.history.append(combo)
-        self.keys.add(combo.key())
-
-    def __len__(self) -> int:
-        return len(self.history)
-
-    def __iter__(self):
-        return iter(self.history)
 
 
 Adjacency = dict[int, list[Edge]]
@@ -283,48 +264,47 @@ def enumerate_paths(inst: Instance, max_paths: int = 10) -> PathTable:
     return table
 
 
-def pathfinder(table: PathTable, used: UsedPaths) -> PathCombination | None:
-    """Cheapest unused combination of one path per pair, or None when spent.
+def pathfinder(table: PathTable) -> PathCombination | None:
+    """The next combination of one path per pair in the table's walk, or
+    None when every combination has been returned.
 
-    The cost of a combination is the total node count of its paths.  Each
+    The cost of a combination is the total node count of its paths, and
+    successive calls return every combination once, cheapest first.  Each
     pair's candidates are ranked by ``(hops, index)``, and rank vectors are
     popped from a heap in non-decreasing total cost.  A vector's successors
     raise one rank at or after the position its parent raised, so every
-    vector is pushed exactly once.  The cheapest entry is returned without
-    being popped: it is popped on a later call, once ``used`` holds it.
+    vector is pushed exactly once.  The vector a call returns stays on the
+    heap until the next call pops it.
 
     The root vector, every pair's cheapest pick, needs only the listed
-    prefix of each pair; the table is completed and ranked before the
-    first pop.
+    prefix of each pair, so a solve decided on its first combination never
+    completes the table; the table is completed and ranked at the first pop.
     """
-    heap = used.frontier
-    if used.table is not table:
-        used.table = table
-        used.ranked = None
-        heap.clear()
+    heap = table._frontier
+    if heap is None:
+        heap = table._frontier = []
         if all(table.candidates[pair] for pair in table.pairs):
             heap.append((sum(hops for hops, _ in _cheapest_picks(table)), (0,) * len(table.pairs), 0))
-    while heap:
-        total, ranks, last = heap[0]
-        if used.ranked is None:
-            selection = tuple(r for _, r in _cheapest_picks(table))
-        else:
-            selection = tuple(order[r][1] for order, r in zip(used.ranked, ranks))
-        if selection not in used.keys:
-            return PathCombination(selection=dict(zip(table.pairs, selection)), table=table)
-        heapq.heappop(heap)
-        if used.ranked is None:
+    elif heap:
+        total, ranks, last = heapq.heappop(heap)
+        if table._ranked is None:
             table.complete()
-            used.ranked = [
+            table._ranked = [
                 sorted((c.hops, r) for r, c in enumerate(table.candidates[pair])) for pair in table.pairs
             ]
         for i in range(last, len(ranks)):
-            order = used.ranked[i]
+            order = table._ranked[i]
             r = ranks[i] + 1
             if r < len(order):
                 step = order[r][0] - order[r - 1][0]
                 heapq.heappush(heap, (total + step, ranks[:i] + (r,) + ranks[i + 1 :], i))
-    return None
+    if not heap:
+        return None
+    if table._ranked is None:
+        selection = tuple(r for _, r in _cheapest_picks(table))
+    else:
+        selection = tuple(order[r][1] for order, r in zip(table._ranked, heap[0][1]))
+    return PathCombination(selection=dict(zip(table.pairs, selection)), table=table)
 
 
 def _cheapest_picks(table: PathTable) -> list[tuple[int, int]]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .assignment import Assignment, assign
 from .instance import Instance
-from .paths import PathCombination, UsedPaths, enumerate_paths, pathfinder
+from .paths import PathCombination, enumerate_paths, pathfinder
 from .routing import RouteSet, router
 from .scheduling import Schedule, expand_routes, scheduler
 from .validation import validate
@@ -101,7 +101,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     t0 = time.monotonic()
     table = enumerate_paths(inst, cfg.max_paths)
     stats["time_paths"] += time.monotonic() - t0
-    used = UsedPaths()
     truncated = False
 
     def exhausted() -> SolveResult:
@@ -113,10 +112,9 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
 
     try:
         while True:
-            combo = stage("pathfinder_calls", "time_paths", lambda _budget: pathfinder(table, used))
+            combo = stage("pathfinder_calls", "time_paths", lambda _budget: pathfinder(table))
             if combo is None:
                 return exhausted()
-            used.add(combo)
             stats["combinations"] += 1
             previous_routes: list[RouteSet] = []
 

@@ -76,20 +76,14 @@ def router(
     start_key: TaskKey = (START_JOB, inst.job(START_JOB).tasks[0].name)
     end_key: TaskKey = (END_JOB, inst.job(END_JOB).tasks[0].name)
     task_of = {(j.name, t.name): t for j in inst.jobs for t in j.tasks}
-
-    # Variables are named by task position: joined job and task names can
-    # coincide for distinct tasks.
-    position = {key: i for i, key in enumerate([start_key, *customers, end_key])}
+    keys = [start_key, *customers, end_key]
 
     ctx = B.SolverContext()
     cap = inst.fleet.operating_range
     discharge = inst.fleet.discharge_coeff
 
-    cs = {
-        key: ctx.int_var(f"cs_{i}", task_of[key].window_lo, task_of[key].window_hi)
-        for key, i in position.items()
-    }
-    rc = {key: ctx.int_var(f"rc_{i}", 0, cap) for key, i in position.items()}
+    cs = {key: ctx.int_var(task_of[key].window_lo, task_of[key].window_hi) for key in keys}
+    rc = {key: ctx.int_var(0, cap) for key in keys}
     # Full charge at dispatch: every route leaves the depot with the whole
     # operating range available.
     ctx.add(rc[start_key] >= cap)
@@ -102,7 +96,7 @@ def router(
     def arc(a: TaskKey, b: TaskKey) -> B.BoolRef:
         var = arcs.get((a, b))
         if var is None:
-            var = ctx.bool_var(f"dir_{position[a]}_{position[b]}")
+            var = ctx.bool_var()
             arcs[(a, b)] = var
             d = dist(a, b)
             ctx.add(B.implies(var, cs[b] - cs[a] >= d))
@@ -125,17 +119,17 @@ def router(
     for key in customers:
         by_location.setdefault(task_of[key].location, []).append(key)
     for group in by_location.values():
-        _strict_order(ctx, "colo", group, position, arc)
+        _strict_order(ctx, group, arc)
 
     # Tasks of one job ride together: they form one consecutive block, in
     # some order compatible with the job's precedence relation.  The order
     # agrees with every arc chosen inside the job, so exactly ``n - 1`` such
     # arcs chain all ``n`` tasks into one block.
     for job in inst.customer_jobs():
-        keys = [(job.name, t.name) for t in job.tasks]
-        if len(keys) >= 2:
-            _strict_order(ctx, "before", keys, position, arc, transitive_predecessors(job))
-            ctx.add(B.exactly_n([arc(a, b) for a in keys for b in keys if a != b], len(keys) - 1))
+        block = [(job.name, t.name) for t in job.tasks]
+        if len(block) >= 2:
+            _strict_order(ctx, block, arc, transitive_predecessors(job))
+            ctx.add(B.exactly_n([arc(a, b) for a in block for b in block if a != b], len(block) - 1))
 
     # Deliveries happen no earlier than their pickups.
     for job in inst.customer_jobs():
@@ -148,26 +142,23 @@ def router(
 
     ctx.minimize(arc(start_key, t) for t in customers)
 
-    result = ctx.check_minimize(timeout=timeout)
-    if result.status == B.Status.TIMEOUT:
-        raise TimeoutError("routing timed out")
-    if result.status == B.Status.UNSAT:
+    model = ctx.check_minimize(timeout=timeout)
+    if model is None:
         return None
-    return _extract_routes(inst, paths, result.model, arcs, cs, customers, start_key, end_key, task_of)
+    return _extract_routes(inst, paths, model, arcs, cs, customers, start_key, end_key, task_of)
 
 
-def _strict_order(ctx: B.SolverContext, prefix: str, keys: list[TaskKey], position: dict[TaskKey, int],
-                  arc, closure=None) -> None:
+def _strict_order(ctx: B.SolverContext, keys: list[TaskKey], arc, closure=None) -> None:
     """One order variable per pair of ``keys``, kept transitive.
 
-    Every arc chosen between two keys follows the order.  Variables are
-    named by the keys' ``position``.  ``closure`` maps a task name to the
-    names of the tasks it must follow (keys of one job only).
+    Every arc chosen between two keys follows the order.  ``closure`` maps
+    a task name to the names of the tasks it must follow (keys of one job
+    only).
     """
     before: dict[tuple[TaskKey, TaskKey], B.Literal] = {}
     for i, a in enumerate(keys):
         for b in keys[i + 1 :]:
-            var = ctx.bool_var(f"{prefix}_{position[a]}_{position[b]}")
+            var = ctx.bool_var()
             before[(a, b)] = B.Literal(var, True)
             before[(b, a)] = B.Literal(var, False)
     for a in keys:

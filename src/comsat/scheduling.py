@@ -169,15 +169,14 @@ def scheduler(
     node_vars: list[list[B.IntRef]] = []
     edge_vars: list[list[B.IntRef]] = []
     for trace in traces:
-        r = trace.route_index
         nv = []
         for p, (node, (lo, hi)) in enumerate(zip(trace.nodes, trace.windows)):
             lower = max(lo, trace.start) if p == 0 else lo
             upper = horizon if hi is None else hi
             if lower > upper:
                 return None
-            nv.append(ctx.int_var(f"node_{r}_{p}", lower, upper))
-        ev = [ctx.int_var(f"edge_{r}_{p}", 0, horizon) for p in range(len(trace.edges))]
+            nv.append(ctx.int_var(lower, upper))
+        ev = [ctx.int_var(0, horizon) for _ in trace.edges]
         node_vars.append(nv)
         edge_vars.append(ev)
         for p, edge in enumerate(trace.edges):
@@ -264,12 +263,9 @@ def scheduler(
             gap = math.ceil(charge * route_lengths[later])
             ctx.add(node_vars[later][0] - node_vars[earlier][-1] >= gap)
 
-    result = ctx.check_minimize(timeout=timeout)
-    if result.status == B.Status.TIMEOUT:
-        raise TimeoutError("scheduling timed out")
-    if result.status == B.Status.UNSAT:
+    model = ctx.check_minimize(timeout=timeout)
+    if model is None:
         return None
-    model = result.model
     scheduled = []
     makespan = 0
     for ti, trace in enumerate(traces):

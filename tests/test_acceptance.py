@@ -16,7 +16,7 @@ import comsat
 from comsat.bench import bench
 from comsat.generate import GenParams, generate, tiny_params
 from comsat.oracle import brute_oracle
-from comsat.paths import Path, PathCombination, PathTable, UsedPaths, enumerate_paths, pathfinder
+from comsat.paths import Path, PathTable, enumerate_paths, pathfinder
 from comsat.pipeline import SolverConfig, SolveStatus, solve
 from comsat.routing import router
 from comsat.validation import validate
@@ -117,24 +117,21 @@ def test_criterion_4_pathfinder_optimality_50_tables():
                 *[range(len(table.candidates[p])) for p in table.pairs]
             )
         )
-        used = UsedPaths()
-        first = pathfinder(table, used)
+        first = pathfinder(table)
         assert first is not None and first.total_hops == brute[0]
         checked += 1
         # Enumerate the entire space on the smaller tables.
         if space <= 60:
             seen = {first.key()}
             last = first.total_hops
-            used.add(first)
             while True:
-                combo = pathfinder(table, used)
+                combo = pathfinder(table)
                 if combo is None:
                     break
                 assert combo.key() not in seen
                 assert combo.total_hops >= last
                 seen.add(combo.key())
                 last = combo.total_hops
-                used.add(combo)
             assert len(seen) == space
             enumerated += 1
     print(f"\nACCEPTANCE 4 PASS: 50 tables optimal first pick; "
@@ -149,7 +146,7 @@ def test_criterion_5_router_minimality_exact():
                 GenParams(nodes=8, vehicles=3, jobs=jobs, edge_reduction=0, horizon=25, seed=seed)
             )
             table = enumerate_paths(inst, 10)
-            combo = pathfinder(table, UsedPaths())
+            combo = pathfinder(table)
             routes = router(inst, combo, [])
             expected = _min_vehicles_brute(inst, combo)
             if expected is None:

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from comsat.assignment import Assignment, assign, assignment_from_json, route_meta
+from comsat.assignment import Assignment, assign, assignment_from_json
 from comsat.instance import END_JOB, START_JOB
-from comsat.paths import UsedPaths, enumerate_paths, pathfinder
+from comsat.paths import enumerate_paths, pathfinder
 from comsat.routing import Route, RouteSet, Visit, router
 
 from conftest import make_instance
@@ -72,7 +72,7 @@ def test_empty_eligibility_short_circuits():
 
 def test_plant21_single_job_routes_admit_paper_style_assignment(plant21):
     table = enumerate_paths(plant21, 10)
-    combo = pathfinder(table, UsedPaths())
+    combo = pathfinder(table)
 
     def single_route(job_name):
         job = plant21.job(job_name)
@@ -117,7 +117,7 @@ def test_plant21_single_job_routes_admit_paper_style_assignment(plant21):
 
 def test_assignment_properties_on_solver_output(plant21):
     table = enumerate_paths(plant21, 10)
-    combo = pathfinder(table, UsedPaths())
+    combo = pathfinder(table)
     prev = []
     while True:
         routes = router(plant21, combo, prev)
@@ -126,18 +126,18 @@ def test_assignment_properties_on_solver_output(plant21):
         if asg is not None:
             break
         prev.append(routes)
-    metas = [route_meta(plant21, r) for r in routes.routes]
+    rs = routes.routes
     charge = plant21.fleet.charge_coeff
-    for i, meta in enumerate(metas):
-        assert asg.vehicles[i] in meta.eligible
-        assert 0 <= asg.starts[i] <= meta.latest_start
-        assert asg.ends[i] == asg.starts[i] + meta.length
-    for i in range(len(metas)):
-        for j in range(i + 1, len(metas)):
+    for i, route in enumerate(rs):
+        assert all(asg.vehicles[i] in plant21.job(name).eligible for name in route.jobs)
+        assert 0 <= asg.starts[i] <= route.latest_start
+        assert asg.ends[i] == asg.starts[i] + route.length
+    for i in range(len(rs)):
+        for j in range(i + 1, len(rs)):
             if asg.vehicles[i] != asg.vehicles[j]:
                 continue
-            gap_i = math.ceil(charge * metas[i].length)
-            gap_j = math.ceil(charge * metas[j].length)
+            gap_i = math.ceil(charge * rs[i].length)
+            gap_j = math.ceil(charge * rs[j].length)
             assert (
                 asg.starts[i] >= asg.ends[j] + gap_i
                 or asg.starts[j] >= asg.ends[i] + gap_j

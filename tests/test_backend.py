@@ -10,9 +10,12 @@ from comsat import backend as B
 
 
 def all_bool_assignments(ctx):
-    names = list(ctx.bools)
-    for bits in itertools.product([False, True], repeat=len(names)):
-        yield dict(zip(names, bits))
+    for bits in itertools.product([False, True], repeat=len(ctx.bools)):
+        yield dict(zip(ctx.bools, bits))
+
+
+def count_true(model, bools):
+    return sum(1 for b in bools if model[b])
 
 
 def count_satisfying(ctx):
@@ -25,15 +28,15 @@ def count_satisfying(ctx):
 
 def test_exactly_one_singleton():
     ctx = B.SolverContext()
-    x = ctx.bool_var("x")
+    x = ctx.bool_var()
     ctx.add(B.exactly_one([x]))
-    res = ctx.check_minimize()
-    assert res.status == B.Status.SAT and res.model[x] is True
+    model = ctx.check_minimize()
+    assert model is not None and model[x] is True
 
 
 def test_exactly_one_two_true_violates():
     ctx = B.SolverContext()
-    x, y = ctx.bool_var("x"), ctx.bool_var("y")
+    x, y = ctx.bool_var(), ctx.bool_var()
     constraint = B.exactly_one([x, y])
     assert not B.evaluate_constraint(constraint, {x: True, y: True})
 
@@ -41,35 +44,35 @@ def test_exactly_one_two_true_violates():
 def test_exactly_one_three_vars_has_three_models():
     # Oracle: enumerate all 8 assignments.
     ctx = B.SolverContext()
-    for name in "xyz":
-        ctx.bool_var(name)
+    for _ in range(3):
+        ctx.bool_var()
     ctx.add(B.exactly_one(ctx.bools))
     assert count_satisfying(ctx) == 3
 
 
 def test_exactly_n_zero_means_all_false():
     ctx = B.SolverContext()
-    x, y = ctx.bool_var("x"), ctx.bool_var("y")
+    x, y = ctx.bool_var(), ctx.bool_var()
     ctx.add(B.exactly_n([x, y], 0))
-    res = ctx.check_minimize()
-    assert res.status == B.Status.SAT
-    assert res.model[x] is False and res.model[y] is False
+    model = ctx.check_minimize()
+    assert model is not None
+    assert model[x] is False and model[y] is False
 
 
 def test_exactly_n_two_of_three_has_three_models():
     ctx = B.SolverContext()
-    for name in "xyz":
-        ctx.bool_var(name)
+    for _ in range(3):
+        ctx.bool_var()
     ctx.add(B.exactly_n(ctx.bools, 2))
     assert count_satisfying(ctx) == 3
 
 
 def test_exactly_n_one_is_exactly_one():
     ctx = B.SolverContext()
-    x = ctx.bool_var("x")
+    x = ctx.bool_var()
     ctx.add(B.exactly_n([x], 1))
-    res = ctx.check_minimize()
-    assert res.status == B.Status.SAT and res.model[x] is True
+    model = ctx.check_minimize()
+    assert model is not None and model[x] is True
 
 
 def test_exactly_one_empty_rejected():
@@ -79,14 +82,14 @@ def test_exactly_one_empty_rejected():
 
 def test_exactly_n_out_of_range_rejected():
     ctx = B.SolverContext()
-    x = ctx.bool_var("x")
+    x = ctx.bool_var()
     with pytest.raises(B.BackendError):
         B.exactly_n([x], 2)
 
 
 def test_minimize_rejects_integer_objective():
     ctx = B.SolverContext()
-    x = ctx.int_var("x", 0, 50)
+    x = ctx.int_var(0, 50)
     ctx.add(x >= 3)
     with pytest.raises(B.UnsupportedExpression):
         ctx.minimize([x])
@@ -98,62 +101,63 @@ def test_minimize_rejects_mixed_objective():
     # forever: only the integer term was bounded, so branch-and-bound kept
     # re-finding the same model.
     ctx = B.SolverContext()
-    b = ctx.bool_var("b")
-    x = ctx.int_var("x", 0, 50)
+    b = ctx.bool_var()
+    x = ctx.int_var(0, 50)
     ctx.add(B.clause(b, x >= 5))
     with pytest.raises(B.UnsupportedExpression):
         ctx.minimize([b, x])
     assert ctx.objective is None
-    res = ctx.check_minimize()
-    assert res.status == B.Status.SAT and (res.model[b] or res.model[x] >= 5)
+    model = ctx.check_minimize()
+    assert model is not None and (model[b] or model[x] >= 5)
 
 
 def test_check_minimize_contradiction():
     ctx = B.SolverContext()
-    x = ctx.int_var("x", 0, 50)
+    x = ctx.int_var(0, 50)
     ctx.add(x >= 1)
     ctx.add(x <= 0)
-    assert ctx.check_minimize().status == B.Status.UNSAT
+    assert ctx.check_minimize() is None
 
 
 def test_check_minimize_counts_true_objective_booleans():
     # Two pairs, one pick from each; counting the first pick of pair 1 and
     # both picks of pair 2, the minimum is one: the second pick of pair 1.
     ctx = B.SolverContext()
-    p1 = [ctx.bool_var("p1a"), ctx.bool_var("p1b")]
-    p2 = [ctx.bool_var("p2a"), ctx.bool_var("p2b")]
+    p1 = [ctx.bool_var(), ctx.bool_var()]
+    p2 = [ctx.bool_var(), ctx.bool_var()]
     ctx.add(B.exactly_one(p1))
     ctx.add(B.exactly_one(p2))
-    ctx.minimize([p1[0], p2[0], p2[1]])
-    res = ctx.check_minimize()
-    assert res.status == B.Status.SAT and res.objective == 1
-    assert res.model[p1[1]] and not res.model[p1[0]]
+    objective = [p1[0], p2[0], p2[1]]
+    ctx.minimize(objective)
+    model = ctx.check_minimize()
+    assert model is not None and count_true(model, objective) == 1
+    assert model[p1[1]] and not model[p1[0]]
 
 
 def test_minimize_counts_a_repeated_boolean_once():
     # Counted twice, the forced b would leave branch-and-bound bounding the
     # objective at 1 and re-finding the model worth 2 until the timeout.
     ctx = B.SolverContext()
-    b = ctx.bool_var("b")
+    b = ctx.bool_var()
     ctx.add(B.clause(b))
     ctx.minimize([b, b])
-    res = ctx.check_minimize(timeout=5.0)
-    assert res.status == B.Status.SAT and res.objective == 1
+    model = ctx.check_minimize(timeout=5.0)
+    assert model is not None and count_true(model, [b]) == 1
 
 
 def test_timeout_is_distinguished():
     ctx = B.SolverContext()
-    vars_ = [ctx.bool_var(f"x{i}") for i in range(600)]
+    vars_ = [ctx.bool_var() for _ in range(600)]
     for a, b in zip(vars_, vars_[1:]):
         ctx.add(B.clause(a, b))
-    res = ctx.check_minimize(timeout=0.0)
-    assert res.status == B.Status.TIMEOUT
+    with pytest.raises(TimeoutError):
+        ctx.check_minimize(timeout=0.0)
 
 
 def _random_context(rng: random.Random):
     ctx = B.SolverContext()
     n = rng.randint(3, 10)
-    vars_ = [ctx.bool_var(f"v{i}") for i in range(n)]
+    vars_ = [ctx.bool_var() for _ in range(n)]
     for _ in range(rng.randint(1, 4)):
         kind = rng.random()
         members = rng.sample(vars_, rng.randint(1, min(4, n)))
@@ -169,10 +173,10 @@ def test_soundness_models_satisfy_constraints():
     rng = random.Random(7)
     for _ in range(60):
         ctx, _obj = _random_context(rng)
-        res = ctx.check_minimize()
-        if res.status == B.Status.SAT:
+        model = ctx.check_minimize()
+        if model is not None:
             for c in ctx.constraints:
-                assert B.evaluate_constraint(c, res.model)
+                assert B.evaluate_constraint(c, model)
 
 
 def test_optimality_matches_brute_force():
@@ -180,30 +184,29 @@ def test_optimality_matches_brute_force():
     for _ in range(40):
         ctx, objective = _random_context(rng)
         ctx.minimize(objective)
-        res = ctx.check_minimize()
+        model = ctx.check_minimize()
         best = None
         for assignment in all_bool_assignments(ctx):
             if all(B.evaluate_constraint(c, assignment) for c in ctx.constraints):
                 value = sum(assignment[v] for v in objective)
                 best = value if best is None else min(best, value)
         if best is None:
-            assert res.status == B.Status.UNSAT
+            assert model is None
         else:
-            assert res.status == B.Status.SAT
-            assert res.objective == best
+            assert model is not None
+            assert count_true(model, objective) == best
 
 
 def test_difference_chain_and_model_values():
     ctx = B.SolverContext()
-    a = ctx.int_var("a", 0, 100)
-    b = ctx.int_var("b", 0, 100)
-    c = ctx.int_var("c", 0, 100)
+    a = ctx.int_var(0, 100)
+    b = ctx.int_var(0, 100)
+    c = ctx.int_var(0, 100)
     ctx.add(b - a >= 4)
     ctx.add(c - b >= 2)
     ctx.add(a >= 1)
-    res = ctx.check_minimize()
-    assert res.status == B.Status.SAT
-    m = res.model
+    m = ctx.check_minimize()
+    assert m is not None
     assert m[a] >= 1 and m[b] - m[a] >= 4 and m[c] - m[b] >= 2
     # Minimal (earliest) values are returned.
     assert (m[a], m[b], m[c]) == (1, 5, 7)
@@ -211,8 +214,8 @@ def test_difference_chain_and_model_values():
 
 def test_atoms_are_differences_and_bounds():
     ctx = B.SolverContext()
-    x = ctx.int_var("x", 0, 10)
-    y = ctx.int_var("y", 0, 10)
+    x = ctx.int_var(0, 10)
+    y = ctx.int_var(0, 10)
     for atom, expected in [
         (x - y <= 3, (x, y, 3)),
         (x - y >= 3, (y, x, -3)),
@@ -234,22 +237,26 @@ def test_atoms_are_differences_and_bounds():
 )
 def test_expression_outside_differences_rejected(build):
     ctx = B.SolverContext()
-    x = ctx.int_var("x", 0, 10)
-    y = ctx.int_var("y", 0, 10)
+    x = ctx.int_var(0, 10)
+    y = ctx.int_var(0, 10)
     with pytest.raises(B.UnsupportedExpression):
         build(x, y)
 
 
 def test_negated_atom_in_clause():
     ctx = B.SolverContext()
-    x = ctx.int_var("x", 0, 10)
+    x = ctx.int_var(0, 10)
     ctx.add(B.clause(~(x <= 4)))
-    res = ctx.check_minimize()
-    assert res.status == B.Status.SAT and res.model[x] >= 5
+    model = ctx.check_minimize()
+    assert model is not None and model[x] >= 5
 
 
-def test_duplicate_names_rejected():
+def test_variables_are_known_by_index():
     ctx = B.SolverContext()
-    ctx.bool_var("x")
+    b0, b1 = ctx.bool_var(), ctx.bool_var()
+    x = ctx.int_var(0, 3)
+    assert (b0.index, b1.index, x.index) == (0, 1, 0)
+    assert repr(~b1) == "not Bool(1)"
+    assert repr(x <= 2) == "(Int(0) - 0 <= 2)"
     with pytest.raises(B.BackendError):
-        ctx.int_var("x", 0, 1)
+        ctx.int_var(3, 2)

@@ -76,6 +76,57 @@ def test_error_exit_code_on_bad_instance(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _three_node_instance() -> dict:
+    return {
+        "nodes": [0, 1, 2],
+        "depot": 0,
+        "edges": [
+            {"u": 0, "v": 1, "len": 1, "cap": 1, "directed": False},
+            {"u": 1, "v": 2, "len": 1, "cap": 1, "directed": False},
+        ],
+        "horizon": 20,
+        "vehicles": ["R1"],
+        "operating_range": 100,
+        "charge_coeff": 0,
+        "discharge_coeff": 1,
+        "jobs": {"J": {"eligible": ["R1"], "tasks": {
+            "a": {"location": 1, "window": [0, 10], "precedes": []},
+            "b": {"location": 2, "window": [0, 15], "precedes": ["a"]},
+        }}},
+    }
+
+
+def _task(doc: dict, name: str) -> dict:
+    return doc["jobs"]["J"]["tasks"][name]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["edges"][0].pop("u"),
+        lambda d: d["edges"][0].pop("len"),
+        lambda d: _task(d, "a").pop("location"),
+        lambda d: d.update(nodes=5),
+        lambda d: d["jobs"]["J"].update(eligible=3),
+        lambda d: d.update(vehicles="R1"),
+        lambda d: d["jobs"]["J"].update(eligible="R1"),
+        lambda d: _task(d, "b").update(precedes="a"),
+    ],
+    ids=["edge-without-u", "edge-without-len", "task-without-location", "nodes-not-a-list",
+         "eligible-number", "vehicles-string", "eligible-string", "precedes-string"],
+)
+def test_malformed_instance_exit_3(tmp_path, capsys, edit):
+    doc = _three_node_instance()
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--instance", str(path)]) == 0
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def _validate_files(tmp_path, *, schedule_edit=None, assignment_edit=None):
     """Run ``comsat validate`` on a hand-built, valid one-job solution after
     applying the given edits to its schedule and assignment documents."""

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 
 import pytest
 
@@ -10,9 +9,7 @@ from comsat.generate import GenParams, tiny_params, generate
 from comsat.instance import parse_instance
 from comsat.paths import (
     Path,
-    PathCombination,
     PathTable,
-    UsedPaths,
     enumerate_paths,
     k_shortest_paths,
     pathfinder,
@@ -112,17 +109,15 @@ def test_enumerate_paths_requires_positive_k(plant21):
 
 def test_pathfinder_forced_selection_then_exhausted(line3):
     table = enumerate_paths(line3, 1)
-    used = UsedPaths()
-    combo = pathfinder(table, used)
+    combo = pathfinder(table)
     assert combo is not None
     assert all(idx == 0 for idx in combo.selection.values())
-    used.add(combo)
-    assert pathfinder(table, used) is None
+    assert pathfinder(table) is None
 
 
 def test_pathfinder_first_call_is_pairwise_minimal(plant21):
     table = enumerate_paths(plant21, 10)
-    combo = pathfinder(table, UsedPaths())
+    combo = pathfinder(table)
     table.complete()
     best = sum(min(p.hops for p in table.candidates[pair]) for pair in table.pairs)
     assert combo.total_hops == best
@@ -131,11 +126,10 @@ def test_pathfinder_first_call_is_pairwise_minimal(plant21):
 def test_pathfinder_successive_calls_distinct_non_decreasing(line3):
     table = enumerate_paths(line3, 4)
     table.complete()
-    used = UsedPaths()
     seen = set()
     last = -1
     while True:
-        combo = pathfinder(table, used)
+        combo = pathfinder(table)
         if combo is None:
             break
         key = combo.key()
@@ -143,7 +137,6 @@ def test_pathfinder_successive_calls_distinct_non_decreasing(line3):
         seen.add(key)
         assert combo.total_hops >= last
         last = combo.total_hops
-        used.add(combo)
     total = 1
     for pair in table.pairs:
         total *= len(table.candidates[pair])
@@ -161,7 +154,7 @@ def test_pathfinder_two_pairs_derived_sequence():
         horizon=20,
     )
     table = enumerate_paths(inst, 2)
-    combo = pathfinder(table, UsedPaths())
+    combo = pathfinder(table)
     hops = {pair: len(combo.path(*pair).nodes) for pair in table.pairs}
     table.complete()
     brute = []
@@ -171,9 +164,7 @@ def test_pathfinder_two_pairs_derived_sequence():
         )
         brute.append(total)
     assert combo.total_hops == min(brute)
-    used = UsedPaths()
-    used.add(combo)
-    second = pathfinder(table, used)
+    second = pathfinder(table)
     assert second.total_hops == sorted(brute)[1]
 
 
@@ -201,36 +192,22 @@ def _all_keys(table: PathTable) -> dict[tuple[int, ...], int]:
 
 def test_pathfinder_full_sequence_on_ties_and_uneven_counts():
     table = _hops_table(UNEVEN_TIES)
-    used = UsedPaths()
     sequence = []
-    while (combo := pathfinder(table, used)) is not None:
+    while (combo := pathfinder(table)) is not None:
         sequence.append(combo)
-        used.add(combo)
     totals = [c.total_hops for c in sequence]
     assert totals == sorted(totals)
     assert sorted(c.key() for c in sequence) == sorted(_all_keys(table))
     assert sorted(totals) == sorted(_all_keys(table).values())
 
 
-def test_pathfinder_skips_combinations_it_never_returned():
-    table = _hops_table(UNEVEN_TIES)
-    costs = _all_keys(table)
-    rng = random.Random(5)
-    used = UsedPaths()
-    while True:
-        # Record combinations the pathfinder did not hand out, some of them
-        # cheaper than anything left on its frontier.
-        for key in rng.sample(sorted(costs), 2):
-            if key not in used.keys:
-                used.add(PathCombination(selection=dict(zip(table.pairs, key)), table=table))
-        unused = [cost for key, cost in costs.items() if key not in used.keys]
-        combo = pathfinder(table, used)
-        if not unused:
-            assert combo is None
-            break
-        assert combo.key() not in used.keys
-        assert combo.total_hops == min(unused)
-        used.add(combo)
+def test_tables_from_one_instance_walk_independently(plant21):
+    first, second = enumerate_paths(plant21, 10), enumerate_paths(plant21, 10)
+    walked = [pathfinder(first).key() for _ in range(3)]
+    assert len(set(walked)) == 3
+    # The second table starts at the root however far the first has walked.
+    assert [pathfinder(second).key() for _ in range(3)] == walked
+    assert pathfinder(first).key() not in walked
 
 
 def _argmin_selection(table: PathTable) -> dict[tuple[int, int], int]:
@@ -244,7 +221,7 @@ def test_pathfinder_first_selection_is_pairwise_argmin(plant21):
     generated = generate(GenParams(nodes=15, vehicles=3, jobs=5, edge_reduction=25, horizon=20, seed=3))
     for inst in (plant21, generated):
         table = enumerate_paths(inst, 10)
-        combo = pathfinder(table, UsedPaths())
+        combo = pathfinder(table)
         table.complete()
         assert combo.selection == _argmin_selection(table)
 
@@ -269,10 +246,7 @@ def test_lazy_table_gives_the_same_combinations():
     eager.complete()
     sequences = []
     for table in (lazy, eager):
-        used = UsedPaths()
-        for _ in range(60):
-            used.add(pathfinder(table, used))
-        sequences.append([combo.key() for combo in used])
+        sequences.append([pathfinder(table).key() for _ in range(60)])
     assert sequences[0] == sequences[1]
     assert lazy.candidates == eager.candidates
 
@@ -281,7 +255,7 @@ def test_enumerate_paths_lists_only_what_the_first_pick_needs(plant21):
     table = enumerate_paths(plant21, 10)
     listed = sum(len(c) for c in table.candidates.values())
     assert listed < len(table.pairs) * 10
-    combo = pathfinder(table, UsedPaths())
+    combo = pathfinder(table)
     assert sum(len(c) for c in table.candidates.values()) == listed
     table.complete()
     assert sum(len(c) for c in table.candidates.values()) > listed

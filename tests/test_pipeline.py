@@ -5,6 +5,7 @@ import json
 import pytest
 
 import comsat
+from comsat.generate import GenParams, generate
 from comsat.instance import parse_instance
 from comsat.pipeline import SolverConfig, SolveStatus, solve
 from comsat.validation import validate
@@ -81,6 +82,18 @@ def test_unknown_after_exactly_max_route_iters():
     assert result.stats["truncated"] is True
     assert result.stats["assign_calls"] == cfg.max_route_iters
     assert result.stats["scheduler_calls"] == 0
+
+
+def test_backend_timeout_in_a_stage_is_unknown_not_unsat():
+    # The router on the shortest combination cannot prove its minimum in
+    # half a second here.  Read as infeasible, a failed first routing
+    # attempt would end the solve as unsat.
+    inst = generate(GenParams(nodes=25, vehicles=4, jobs=10, edge_reduction=0, horizon=50, seed=0))
+    result = solve(inst, SolverConfig(total_timeout=1.0, stage_timeout=0.5))
+    assert result.status == SolveStatus.UNKNOWN
+    assert result.stats["truncated"] is True
+    assert result.stats["router_calls"] == 1
+    assert result.stats["router_solutions"] == 0
 
 
 def test_zero_jobs_solves_trivially():

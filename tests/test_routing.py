@@ -7,7 +7,7 @@ import pytest
 
 from comsat.generate import GenParams, generate
 from comsat.instance import END_JOB, START_JOB
-from comsat.paths import UsedPaths, enumerate_paths, pathfinder
+from comsat.paths import enumerate_paths, pathfinder
 from comsat.pipeline import SolverConfig, SolveStatus, solve
 from comsat.routing import router
 from comsat.validation import validate
@@ -17,7 +17,7 @@ from conftest import make_instance
 
 def _solve_routes(inst, prev=()):
     table = enumerate_paths(inst, 10)
-    combo = pathfinder(table, UsedPaths())
+    combo = pathfinder(table)
     return combo, router(inst, combo, list(prev))
 
 
@@ -272,7 +272,7 @@ def _min_vehicles_brute(inst, combo):
 def test_route_count_minimal_vs_brute_force(seed):
     inst = generate(GenParams(nodes=8, vehicles=3, jobs=3, edge_reduction=0, horizon=25, seed=seed))
     table = enumerate_paths(inst, 10)
-    combo = pathfinder(table, UsedPaths())
+    combo = pathfinder(table)
     routes = router(inst, combo, [])
     expected = _min_vehicles_brute(inst, combo)
     if expected is None:

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from comsat.assignment import Assignment, assign
-from comsat.paths import UsedPaths, enumerate_paths, pathfinder
+from comsat.paths import enumerate_paths, pathfinder
 from comsat.routing import router
 from comsat.scheduling import expand_routes, schedule_from_json, scheduler
 
@@ -14,7 +14,7 @@ from conftest import make_instance
 
 def _pipeline(inst, max_paths=10):
     table = enumerate_paths(inst, max_paths)
-    combo = pathfinder(table, UsedPaths())
+    combo = pathfinder(table)
     prev = []
     while True:
         routes = router(inst, combo, prev)
@@ -54,7 +54,7 @@ def test_expand_line_trace_out_and_back(line3):
 
 def test_expand_plant21_job_d_follows_selected_paths(plant21):
     table = enumerate_paths(plant21, 10)
-    combo = pathfinder(table, UsedPaths())
+    combo = pathfinder(table)
     prev = []
     while True:
         routes = router(plant21, combo, prev)
