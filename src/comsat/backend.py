@@ -242,9 +242,6 @@ class SolverContext:
                 raise UnsupportedExpression(f"objectives count booleans only, not {member!r}")
         self.objective = list(dict.fromkeys(members))
 
-    def _count_true(self, model: Model) -> int:
-        return sum(1 for b in self.objective if model[b])
-
     # -- solving ---------------------------------------------------------
 
     def check_minimize(self, timeout: float | None = None) -> Model | None:
@@ -258,8 +255,9 @@ class SolverContext:
         best = None
         while _found(engine.solve()):
             best = self._extract(engine)
-            if self.objective is None or not engine.bound_objective(self._count_true(best) - 1):
+            if self.objective is None:
                 break
+            engine.bound_objective(sum(1 for b in self.objective if best[b]) - 1)
         return best
 
     def _compile(self) -> EngineSpec:

@@ -6,9 +6,15 @@ incremental difference-logic theory: every assigned difference literal
 asserts one weighted edge, feasibility is maintained through potential
 repair, and an infeasible assertion yields the offending cycle as a
 conflict clause.  Optimization minimizes how many of a set of boolean
-variables are true by branch-and-bound on that count, propagated from the
-running count of true ones, and reuses learned clauses across bounds
-(sound because bounds only tighten, so the constraint set only grows).
+variables are true by branch-and-bound on that count, which propagation
+counts off the assignment, and reuses learned clauses across bounds (sound
+because bounds only tighten, so the constraint set only grows).
+
+Clauses are plain literal lists, and every reason and conflict is one too.
+The engine keeps no satisfied-clause marks: branching reads satisfaction
+off the assignment.  Unit clauses and what each cardinality forces on its
+own are put on the trail in the constructor, which records a root
+conflict for ``solve`` to report.
 
 Literal encoding is MiniSat-style: variable ``v`` has positive literal
 ``2*v`` and negative literal ``2*v + 1``.  Boolean variables come first,
@@ -62,14 +68,6 @@ class EngineSpec:
     def add_cardinality(self, bool_vars: list[int], n: int) -> None:
         members = list(dict.fromkeys(bool_vars))
         self.cards.append((members, n))
-
-
-class _Clause:
-    __slots__ = ("lits", "sat_level")
-
-    def __init__(self, lits: list[int]):
-        self.lits = lits
-        self.sat_level = -1
 
 
 class _Card:
@@ -167,21 +165,16 @@ class Engine:
         self._ticks = 0
 
         self.n_bools = spec.n_bools
-        self.n_atoms = len(spec.atoms)
-        self.n_vars = self.n_bools + self.n_atoms
-        nv = self.n_vars
+        nv = self.n_bools + len(spec.atoms)
 
         self.assigns = [0] * nv          # 0 unassigned, 1 true, -1 false
         self.var_level = [0] * nv
-        self.reasons: list[list[int] | _Clause | None] = [None] * nv
+        self.reasons: list[list[int] | None] = [None] * nv
         self.trail: list[int] = []
         self.trail_edge: list[int] = []  # theory node whose edge list grew, else -1
         self.trail_lim: list[int] = []
         self.qhead = 0
-
-        self.watches: list[list[_Clause]] = [[] for _ in range(2 * nv)]
-        self.pos_occ: list[list[_Clause]] = [[] for _ in range(2 * nv)]
-        self.sat_stack: list[_Clause] = []
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * nv)]
 
         self.theory = _Theory(1 + len(spec.int_bounds))
         self.root_conflict = False
@@ -191,15 +184,15 @@ class Engine:
             if self.theory.assert_edge(node, 0, -hi, -1) is not None:
                 self.root_conflict = True
 
-        self.clauses: list[_Clause] = []
-        self._init_units: list[int] = []
+        self.clauses: list[list[int]] = []
+        units: list[int] = []
         for lits in spec.clauses:
             if not lits:
                 self.root_conflict = True
             elif len(lits) == 1:
-                self._init_units.append(lits[0])
+                units.append(lits[0])
             else:
-                self._attach(_Clause(list(lits)))
+                self._attach(list(lits))
 
         self.cards: list[_Card] = []
         self.card_occ: list[list[_Card]] = [[] for _ in range(nv)]
@@ -209,23 +202,24 @@ class Engine:
             for v in members:
                 self.card_occ[v].append(card)
 
-        # Objective bookkeeping for branch-and-bound: the positive literals
-        # of the objective variables (a dict as an insertion-ordered set)
-        # and how many of them are on the trail.
+        # The positive literals of the objective variables (a dict as an
+        # insertion-ordered set) and their bound once branch-and-bound runs.
         self.pb_lits: dict[int, None] = dict.fromkeys(2 * v for v in spec.objective or ())
         self.pb_bound: int | None = None
-        self.pb_count_true = 0
 
-        self._init_done = False
+        # Root facts: the unit clauses, then what each cardinality forces alone.
+        for lit in units:
+            if not self.root_conflict and not self._lit_true(lit):
+                self.root_conflict = self.assigns[lit >> 1] != 0 or self._assign(lit, [lit]) is not None
+        if not self.root_conflict:
+            self.root_conflict = any(self._check_card(card) is not None for card in self.cards)
 
     # -- assignment machinery ---------------------------------------------
 
-    def _attach(self, c: _Clause) -> None:
-        self.clauses.append(c)
-        self.watches[c.lits[0]].append(c)
-        self.watches[c.lits[1]].append(c)
-        for l in c.lits:
-            self.pos_occ[l].append(c)
+    def _attach(self, lits: list[int]) -> None:
+        self.clauses.append(lits)
+        self.watches[lits[0]].append(lits)
+        self.watches[lits[1]].append(lits)
 
     def _level(self) -> int:
         return len(self.trail_lim)
@@ -234,8 +228,8 @@ class Engine:
         v = self.assigns[lit >> 1]
         return v != 0 and (v == 1) == ((lit & 1) == 0)
 
-    def _assign(self, lit: int, reason) -> list[int] | None:
-        """Put lit on the trail; returns a conflict clause on theory failure."""
+    def _assign(self, lit: int, reason: list[int] | None) -> list[int] | None:
+        """Put an unassigned lit on the trail; returns a conflict clause on theory failure."""
         var = lit >> 1
         value = 1 if (lit & 1) == 0 else -1
         self.assigns[var] = value
@@ -258,18 +252,11 @@ class Engine:
                     conflict.append(lit ^ 1)
         self.trail.append(lit)
         self.trail_edge.append(edge_node)
-        level = self._level()
-        for c in self.pos_occ[lit]:
-            if c.sat_level < 0:
-                c.sat_level = level
-                self.sat_stack.append(c)
         for card in self.card_occ[var]:
             if value == 1:
                 card.count_true += 1
             else:
                 card.count_false += 1
-        if lit in self.pb_lits:
-            self.pb_count_true += 1
         return conflict
 
     def _backtrack(self, level: int) -> None:
@@ -290,20 +277,8 @@ class Engine:
                     card.count_true -= 1
                 else:
                     card.count_false -= 1
-            if lit in self.pb_lits:
-                self.pb_count_true -= 1
         del self.trail_lim[level:]
         self.qhead = len(self.trail)
-        while self.sat_stack and self.sat_stack[-1].sat_level > level:
-            self.sat_stack.pop().sat_level = -1
-
-    def _enqueue(self, lit: int, reason) -> list[int] | None:
-        val = self.assigns[lit >> 1]
-        if val != 0:
-            if (val == 1) != ((lit & 1) == 0):
-                return list(reason.lits) if isinstance(reason, _Clause) else list(reason)
-            return None
-        return self._assign(lit, reason)
 
     # -- propagation -------------------------------------------------------
 
@@ -331,8 +306,7 @@ class Engine:
         watch_list = self.watches[falsified]
         i = 0
         while i < len(watch_list):
-            c = watch_list[i]
-            lits = c.lits
+            lits = watch_list[i]
             if lits[0] == falsified:
                 lits[0], lits[1] = lits[1], lits[0]
             other = lits[0]
@@ -345,7 +319,7 @@ class Engine:
                 v = self.assigns[l >> 1]
                 if v == 0 or (v == 1) == ((l & 1) == 0):
                     lits[1], lits[j] = lits[j], lits[1]
-                    self.watches[l].append(c)
+                    self.watches[l].append(lits)
                     watch_list[i] = watch_list[-1]
                     watch_list.pop()
                     moved = True
@@ -353,60 +327,48 @@ class Engine:
             if moved:
                 continue
             if self.assigns[other >> 1] != 0:
-                return list(lits)  # every literal false
-            conflict = self._assign(other, c)
+                return lits  # every literal false
+            conflict = self._assign(other, lits)
             if conflict is not None:
                 return conflict
             i += 1
         return None
 
     def _check_card(self, card: _Card) -> list[int] | None:
+        """Conflict when the card is overshot; else force its undecided members
+        false once n are true, or true once all but n are false."""
         size = len(card.members)
         if card.count_true > card.n:
             return [m * 2 + 1 for m in card.members if self.assigns[m] == 1]
         if card.count_false > size - card.n:
             return [m * 2 for m in card.members if self.assigns[m] == -1]
-        undecided = size - card.count_true - card.count_false
-        if undecided == 0:
+        if card.count_true + card.count_false == size:
             return None
         if card.count_true == card.n:
-            premises = [m * 2 + 1 for m in card.members if self.assigns[m] == 1]
-            for m in card.members:
-                if self.assigns[m] == 0:
-                    conflict = self._enqueue(m * 2 + 1, [m * 2 + 1] + premises)
-                    if conflict is not None:
-                        return conflict
+            decided, sign = 1, 1       # true members force the rest false
         elif card.count_false == size - card.n:
-            premises = [m * 2 for m in card.members if self.assigns[m] == -1]
-            for m in card.members:
-                if self.assigns[m] == 0:
-                    conflict = self._enqueue(m * 2, [m * 2] + premises)
-                    if conflict is not None:
-                        return conflict
+            decided, sign = -1, 0      # false members force the rest true
+        else:
+            return None
+        premises = [m * 2 + sign for m in card.members if self.assigns[m] == decided]
+        for m in card.members:
+            if self.assigns[m] == 0:
+                self._assign(m * 2 + sign, [m * 2 + sign] + premises)  # booleans: never a conflict
         return None
 
-    def _pb_premises(self) -> list[int]:
-        out = []
-        for lit in self.pb_lits:
-            v = self.assigns[lit >> 1]
-            if v != 0:
-                out.append((lit ^ 1) if self._lit_true(lit) else lit)
-        return out
-
     def _propagate_pb(self) -> list[int] | None:
-        slack = self.pb_bound - self.pb_count_true
-        if slack < 0:
-            return self._pb_premises()
+        """Conflict when more than pb_bound objective literals are true; at
+        the bound, force the undecided ones false."""
+        assigns = self.assigns
+        slack = self.pb_bound - sum(1 for lit in self.pb_lits if assigns[lit >> 1] == 1)
         if slack > 0:
             return None
-        premises: list[int] | None = None
+        premises = [lit ^ 1 if assigns[lit >> 1] == 1 else lit for lit in self.pb_lits if assigns[lit >> 1] != 0]
+        if slack < 0:
+            return premises
         for lit in self.pb_lits:
-            if self.assigns[lit >> 1] == 0:
-                if premises is None:
-                    premises = self._pb_premises()
-                conflict = self._enqueue(lit ^ 1, [lit ^ 1] + premises)
-                if conflict is not None:
-                    return conflict
+            if assigns[lit >> 1] == 0:
+                self._assign(lit ^ 1, [lit ^ 1] + premises)  # booleans: never a conflict
         return None
 
     # -- conflict analysis --------------------------------------------------
@@ -433,13 +395,11 @@ class Engine:
             while idx >= 0 and (self.trail[idx] >> 1) not in seen:
                 idx -= 1
             p = self.trail[idx]
-            v = p >> 1
             idx -= 1
             counter -= 1
             if counter <= 0:
                 break
-            reason = self.reasons[v]
-            reason_lits = reason.lits if isinstance(reason, _Clause) else reason
+            reason_lits = self.reasons[p >> 1]
         out = [p ^ 1] + learnt
         back = max((self.var_level[q >> 1] for q in learnt), default=0)
         return out, back
@@ -459,11 +419,20 @@ class Engine:
                             best_lit = m * 2
                 if best_lit >= 0:
                     return best_lit
-        for c in self.clauses:
-            if c.sat_level < 0:
-                for l in c.lits:
-                    if self.assigns[l >> 1] == 0:
-                        return l
+        # The first unassigned literal of the first clause with no true literal.
+        assigns = self.assigns
+        for lits in self.clauses:
+            free = -1
+            for l in lits:
+                v = assigns[l >> 1]
+                if v == 0:
+                    if free < 0:
+                        free = l
+                elif (v == 1) == ((l & 1) == 0):
+                    break
+            else:
+                if free >= 0:
+                    return free
         return None
 
     # -- main loop -------------------------------------------------------------
@@ -486,14 +455,12 @@ class Engine:
                 self._backtrack(top)
             learnt, back = self._analyze(conflict)
             self._backtrack(back)
-            if len(learnt) == 1:
-                conflict = self._enqueue(learnt[0], list(learnt))
-            else:
-                c = _Clause(learnt)
+            if len(learnt) > 1:
                 best = max(range(1, len(learnt)), key=lambda i: self.var_level[learnt[i] >> 1])
-                c.lits[1], c.lits[best] = c.lits[best], c.lits[1]
-                self._attach(c)
-                conflict = self._enqueue(learnt[0], c)
+                learnt[1], learnt[best] = learnt[best], learnt[1]
+                self._attach(learnt)
+            # The asserting literal sat at the conflict level, so it is unassigned now.
+            conflict = self._assign(learnt[0], learnt)
         return None
 
     def solve(self) -> str:
@@ -501,15 +468,6 @@ class Engine:
         if self.root_conflict:
             return "unsat"
         self._backtrack(0)
-        if not self._init_done:
-            self._init_done = True
-            for lit in self._init_units:
-                conflict = self._enqueue(lit, [lit])
-                if conflict is not None:
-                    return "unsat"
-            for card in self.cards:
-                if self._check_card(card) is not None:
-                    return "unsat"
         while True:
             conflict = self._propagate()
             if conflict is not None:
@@ -528,16 +486,13 @@ class Engine:
             if conflict is not None and self._resolve_conflict(conflict) == "unsat":
                 return "unsat"
 
-    def bound_objective(self, bound: int) -> bool:
-        """Require objective <= bound for later solves; False when pointless."""
-        if self.spec.objective is None:
-            return False
+    def bound_objective(self, bound: int) -> None:
+        """Require at most ``bound`` true objective variables in later solves."""
         self._backtrack(0)
         if bound < 0:
             self.root_conflict = True
         else:
             self.pb_bound = bound
-        return True
 
     def model(self) -> tuple[list[bool], list[int]]:
         bools = [self.assigns[v] == 1 for v in range(self.n_bools)]

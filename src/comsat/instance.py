@@ -174,11 +174,9 @@ def _as_fraction(value: Any, what: str) -> Fraction:
         raise InstanceSemanticError(f"{what} must be a number, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
+    if isinstance(value, (float, str)):
         try:
-            return Fraction(value)
+            return Fraction(str(value))  # a float by its decimal text; nan and inf fail
         except (ValueError, ZeroDivisionError) as exc:
             raise InstanceSemanticError(f"{what} is not a valid rational: {value!r}") from exc
     raise InstanceSemanticError(f"{what} must be a number, got {value!r}")

@@ -45,7 +45,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if min(self.max_paths, self.max_route_iters) < 1:
             raise ValueError("iteration limits must be positive")
-        if min(self.stage_timeout, self.total_timeout) <= 0:
+        if not (self.stage_timeout > 0 and self.total_timeout > 0):  # NaN fails too
             raise ValueError("timeouts must be positive")
 
 

@@ -197,6 +197,69 @@ def test_optimality_matches_brute_force():
             assert count_true(model, objective) == best
 
 
+def _random_difference_context(rng: random.Random):
+    ctx = B.SolverContext()
+    bools = [ctx.bool_var() for _ in range(rng.randint(2, 5))]
+    ints = [ctx.int_var(0, rng.randint(1, 3)) for _ in range(rng.randint(2, 3))]
+
+    def atom():
+        x, y = rng.sample(ints, 2)
+        k = rng.randint(-3, 3)
+        return rng.choice([x - y <= k, x - y >= k, x <= k, x >= k])
+
+    def literal():
+        base = rng.choice(bools) if rng.random() < 0.5 else atom()
+        return base if rng.random() < 0.5 else ~base
+
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.random()
+        if kind < 0.3:
+            members = rng.sample(bools, rng.randint(1, len(bools)))
+            ctx.add(B.exactly_n(members, rng.randint(0, len(members))))
+        elif kind < 0.5:
+            ctx.add(atom())
+        else:
+            ctx.add(B.clause(*(literal() for _ in range(rng.randint(1, 3)))))
+    return ctx, bools
+
+
+def test_difference_contexts_match_brute_force():
+    # Conflicts whose reasons and learned clauses carry difference atoms,
+    # checked on feasibility, optimum and model against every assignment.
+    rng = random.Random(5)
+    verdicts = []
+    for i in range(150):
+        ctx, bools = _random_difference_context(rng)
+        objective = rng.sample(bools, rng.randint(1, len(bools))) if i % 2 else None
+        if objective is not None:
+            ctx.minimize(objective)
+        model = ctx.check_minimize()
+        best = None
+        domains = [range(ref.lo, ref.hi + 1) for ref in ctx.ints]
+        for bits in itertools.product([False, True], repeat=len(ctx.bools)):
+            for values in itertools.product(*domains):
+                assignment = {**dict(zip(ctx.bools, bits)), **dict(zip(ctx.ints, values))}
+                if all(B.evaluate_constraint(c, assignment) for c in ctx.constraints):
+                    value = count_true(assignment, objective or [])
+                    best = value if best is None else min(best, value)
+        verdicts.append(model is not None)
+        assert (model is not None) == (best is not None)
+        if model is not None:
+            assert all(B.evaluate_constraint(c, model) for c in ctx.constraints)
+            assert all(ref.lo <= model[ref] <= ref.hi for ref in ctx.ints)
+            assert count_true(model, objective or []) == best
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_contradicting_root_units_are_infeasible():
+    ctx = B.SolverContext()
+    x, y = ctx.bool_var(), ctx.bool_var()
+    ctx.add(B.clause(x))
+    ctx.add(B.clause(y))
+    ctx.add(B.exactly_n([x, y], 1))
+    assert ctx.check_minimize() is None
+
+
 def test_difference_chain_and_model_values():
     ctx = B.SolverContext()
     a = ctx.int_var(0, 100)

@@ -234,9 +234,11 @@ GRID_CLASS = {"nodes": 8, "vehicles": 2, "jobs": 2, "horizon": 20, "seeds": [1]}
         {"classes": [{**GRID_CLASS, "edge_reduction": None}]},
         {"classes": [GRID_CLASS], "max_paths": 2.5},
         {"classes": [GRID_CLASS], "timeout": "20"},
+        {"classes": [GRID_CLASS], "timeout": float("nan")},
     ],
     ids=["empty", "class-without-seeds", "not-an-object", "class-not-an-object",
-         "seed-not-int", "reduction-not-int", "max-paths-not-int", "timeout-not-number"],
+         "seed-not-int", "reduction-not-int", "max-paths-not-int", "timeout-not-number",
+         "timeout-nan"],
 )
 def test_bench_malformed_grid_exit_3(tmp_path, capsys, grid):
     grid_path = tmp_path / "grid.json"

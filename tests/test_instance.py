@@ -95,6 +95,27 @@ def test_fractional_lengths_rejected():
         parse_instance(json.dumps(doc))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["charge_coeff", "discharge_coeff"])
+def test_non_finite_coefficient_is_semantic_error(field, value):
+    # json.loads accepts NaN and Infinity; the parser must turn them away
+    # with its own error, not a bare ValueError from Fraction.
+    doc = {
+        "nodes": [0, 1],
+        "depot": 0,
+        "edges": [{"u": 0, "v": 1, "len": 1, "cap": 1, "directed": False}],
+        "horizon": 5,
+        "vehicles": ["R1"],
+        "operating_range": 10,
+        "charge_coeff": 0,
+        "discharge_coeff": 1,
+        "jobs": {},
+    }
+    parse_instance(json.dumps(doc))
+    with pytest.raises(InstanceSemanticError, match=field):
+        parse_instance(json.dumps({**doc, field: value}))
+
+
 def test_duplicate_job_keys_rejected():
     text = (
         '{"nodes": [0, 1], "depot": 0,'

@@ -118,3 +118,10 @@ def test_config_validation():
         SolverConfig(max_paths=0)
     with pytest.raises(ValueError):
         SolverConfig(total_timeout=0)
+    # NaN compares false with every bound; accepted, it would switch every
+    # deadline off.  Infinity stays allowed and means no limit.
+    with pytest.raises(ValueError):
+        SolverConfig(stage_timeout=float("nan"))
+    with pytest.raises(ValueError):
+        SolverConfig(total_timeout=float("nan"))
+    assert SolverConfig(stage_timeout=float("inf")).stage_timeout == float("inf")
