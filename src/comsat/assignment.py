@@ -81,20 +81,18 @@ def assign(
     ends = [ctx.int_var(0, horizon) for _ in rs]
     allo = [{v: ctx.bool_var() for v in inst.fleet.vehicles} for _ in rs]
     for i, r in enumerate(rs):
-        ctx.add(ends[i] - starts[i] <= r.length)
-        ctx.add(ends[i] - starts[i] >= r.length)
-        ctx.add(B.exactly_one(list(allo[i].values())))
-        ctx.add(B.clause(*[allo[i][v] for v in eligible[i]]))
+        ctx.clause(ends[i] - starts[i] <= r.length)
+        ctx.clause(ends[i] - starts[i] >= r.length)
+        ctx.exactly(allo[i].values(), 1)
+        ctx.clause(*[allo[i][v] for v in eligible[i]])
     for i, r_i in enumerate(rs):
         for j in range(i + 1, len(rs)):
             gap_i = math.ceil(charge * r_i.length)
             gap_j = math.ceil(charge * rs[j].length)
             for v in inst.fleet.vehicles:
-                ctx.add(
-                    B.implies(
-                        [allo[i][v], allo[j][v]],
-                        [starts[i] - ends[j] >= gap_i, starts[j] - ends[i] >= gap_j],
-                    )
+                ctx.implies(
+                    [allo[i][v], allo[j][v]],
+                    [starts[i] - ends[j] >= gap_i, starts[j] - ends[i] >= gap_j],
                 )
 
     model = ctx.check_minimize(timeout=timeout)

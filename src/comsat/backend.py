@@ -7,26 +7,33 @@ assignment, and scheduling models need:
 * bounded integer variables ``x``, ``y`` and the atoms ``x - y <= k``,
   ``x - y >= k``, ``x <= k`` and ``x >= k`` for an integer constant ``k``;
 * clauses over boolean and difference literals;
-* cardinality constraints ``exactly_n`` over boolean sets;
+* cardinality constraints ``exactly`` over boolean sets;
 * minimization of how many of a set of booleans are true.
 
-The engine behind :meth:`SolverContext.check_minimize` is a DPLL-style
-search with cardinality propagation and an incremental difference-logic
-theory; optimization is branch-and-bound over objective bounds.  A check
-returns a model or None (infeasible); when the engine runs out of time it
-raises ``TimeoutError``, so a truncated search is never mislabelled as
+A :class:`SolverContext` holds the problem in the engine's own form, and
+the engine (``engine.py``) reads it as it stands.  Every boolean and every
+distinct difference atom takes the next engine variable, in creation
+order; an atom is created when a clause first uses it.  ``atom_at`` gives,
+per engine variable, its atom ``(x, y, k)`` over theory nodes (0 is the
+zero reference, integer ``i`` is node ``i + 1``), or None for a boolean.
+``clause``, ``implies`` and ``exactly`` write engine literals (``2*v``
+true, ``2*v + 1`` false) straight into ``clauses`` and ``cards``; they
+drop a tautology and keep a repeated literal or member once.
+
+:meth:`SolverContext.check_minimize` returns a model or None
+(infeasible); when the engine runs out of time it raises
+``TimeoutError``, so a truncated search is never mislabelled as
 infeasible.  Variables are anonymous: each is known by its object and its
-index in the context.
+index.
 
 A context is single-threaded; distinct contexts may be used concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .engine import Engine, EngineSpec
+from .engine import Engine
 
 
 class BackendError(ValueError):
@@ -38,7 +45,7 @@ class UnsupportedExpression(BackendError):
 
 
 class BoolRef:
-    """Boolean decision variable."""
+    """Boolean decision variable; ``index`` is its engine variable."""
 
     __slots__ = ("index",)
 
@@ -59,14 +66,12 @@ def _constant(k) -> int:
 
 
 class IntRef:
-    """Bounded integer decision variable."""
+    """Bounded integer decision variable; theory node ``index + 1``."""
 
-    __slots__ = ("index", "lo", "hi")
+    __slots__ = ("index",)
 
-    def __init__(self, index: int, lo: int, hi: int):
+    def __init__(self, index: int):
         self.index = index
-        self.lo = lo
-        self.hi = hi
 
     def __repr__(self) -> str:
         return f"Int({self.index})"
@@ -137,110 +142,104 @@ class Literal:
 LiteralLike = Union[BoolRef, Atom, Literal]
 
 
-def _as_literal(x: LiteralLike) -> Literal:
-    if isinstance(x, Literal):
-        return x
-    if isinstance(x, (BoolRef, Atom)):
-        return Literal(x, True)
-    raise BackendError(f"not a literal: {x!r}")
-
-
-@dataclass(frozen=True)
-class Clause:
-    literals: tuple[Literal, ...]
-
-
-@dataclass(frozen=True)
-class Cardinality:
-    """Exactly ``n`` of ``vars`` are true."""
-
-    vars: tuple[BoolRef, ...]
-    n: int
-
-
-Constraint = Union[Clause, Cardinality, Atom]
-
-
-def clause(*literals: LiteralLike) -> Clause:
-    if not literals:
-        raise BackendError("empty clause")
-    return Clause(tuple(_as_literal(l) for l in literals))
-
-
-def implies(antecedents: LiteralLike | Sequence[LiteralLike],
-            consequents: LiteralLike | Sequence[LiteralLike]) -> Clause:
-    """(a1 and a2 ...) -> (c1 or c2 ...), as a clause."""
-    if isinstance(antecedents, (BoolRef, Atom, Literal)):
-        antecedents = [antecedents]
-    if isinstance(consequents, (BoolRef, Atom, Literal)):
-        consequents = [consequents]
-    lits = [~_as_literal(a) for a in antecedents] + [_as_literal(c) for c in consequents]
-    return Clause(tuple(lits))
-
-
-def exactly_one(vars: Iterable[BoolRef]) -> Cardinality:
-    vs = tuple(vars)
-    if not vs:
-        raise BackendError("exactly_one over an empty set")
-    return Cardinality(vs, 1)
-
-
-def exactly_n(vars: Iterable[BoolRef], n: int) -> Cardinality:
-    vs = tuple(vars)
-    if not 0 <= n <= len(vs):
-        raise BackendError(f"exactly_n out of range: n={n}, |vars|={len(vs)}")
-    return Cardinality(vs, n)
+def _bool_vars(refs: Iterable[BoolRef], what: str) -> list[int]:
+    """The distinct engine variables of ``refs``, which must all be booleans."""
+    out: dict[int, None] = {}
+    for ref in refs:
+        if not isinstance(ref, BoolRef):
+            raise UnsupportedExpression(f"{what} count booleans only, not {ref!r}")
+        out[ref.index] = None
+    return list(out)
 
 
 class Model:
-    """Value assignment for every variable of a context after a SAT check."""
+    """Value of every variable of a context, copied from the engine after a sat search."""
 
-    def __init__(self, bools: Sequence[bool], ints: Sequence[int]):
-        self._bools = list(bools)
-        self._ints = list(ints)
+    def __init__(self, engine: Engine):
+        self._assigns = engine.assigns[:]
+        self._nodes = engine.theory.minimal_values()
 
     def __getitem__(self, ref: Union[BoolRef, IntRef]):
         if isinstance(ref, BoolRef):
-            return self._bools[ref.index]
+            return self._assigns[ref.index] == 1
         if isinstance(ref, IntRef):
-            return self._ints[ref.index]
+            return self._nodes[ref.index + 1]
         raise KeyError(ref)
 
 
 class SolverContext:
-    """Declarative store of variables, constraints, and an optional objective."""
+    """The problem in the engine's form: variables, clauses, cards and an objective."""
 
     def __init__(self) -> None:
-        self.bools: list[BoolRef] = []
-        self.ints: list[IntRef] = []
-        self.constraints: list[Constraint] = []
-        self.objective: list[BoolRef] | None = None
+        # Per engine variable: its atom over theory nodes, or None for a boolean.
+        self.atom_at: list[tuple[int, int, int] | None] = []
+        self.atoms: dict[tuple[int, int, int], int] = {}  # atom -> its engine variable
+        self.int_bounds: list[tuple[int, int]] = []
+        self.clauses: list[list[int]] = []
+        self.cards: list[tuple[list[int], int]] = []
+        # Engine variables whose true count is minimized, or None.
+        self.objective: list[int] | None = None
 
     def bool_var(self) -> BoolRef:
-        ref = BoolRef(len(self.bools))
-        self.bools.append(ref)
-        return ref
+        self.atom_at.append(None)
+        return BoolRef(len(self.atom_at) - 1)
 
     def int_var(self, lo: int, hi: int) -> IntRef:
         if lo > hi:
             raise BackendError(f"empty domain [{lo}, {hi}]")
-        ref = IntRef(len(self.ints), lo, hi)
-        self.ints.append(ref)
-        return ref
+        self.int_bounds.append((lo, hi))
+        return IntRef(len(self.int_bounds) - 1)
 
-    def add(self, constraint: Constraint) -> None:
-        if isinstance(constraint, (Clause, Cardinality, Atom)):
-            self.constraints.append(constraint)
-        else:
-            raise BackendError(f"not a constraint: {constraint!r}")
+    def clause(self, *literals: LiteralLike) -> None:
+        """At least one of ``literals`` holds; ``clause(atom)`` asserts an atom."""
+        if not literals:
+            raise BackendError("empty clause")
+        self._add_clause([self._lit(l) for l in literals])
+
+    def implies(self, antecedents: LiteralLike | Sequence[LiteralLike],
+                consequents: LiteralLike | Sequence[LiteralLike]) -> None:
+        """(a1 and a2 ...) -> (c1 or c2 ...), as a clause."""
+        if isinstance(antecedents, (BoolRef, Atom, Literal)):
+            antecedents = [antecedents]
+        if isinstance(consequents, (BoolRef, Atom, Literal)):
+            consequents = [consequents]
+        self._add_clause([self._lit(a) ^ 1 for a in antecedents] + [self._lit(c) for c in consequents])
+
+    def exactly(self, bools: Iterable[BoolRef], n: int) -> None:
+        """Exactly ``n`` of ``bools`` are true."""
+        members = _bool_vars(bools, "cardinalities")
+        if not members or not 0 <= n <= len(members):
+            raise BackendError(f"exactly out of range: n={n}, {len(members)} distinct booleans")
+        self.cards.append((members, n))
 
     def minimize(self, bools: Iterable[BoolRef]) -> None:
         """Minimize how many of ``bools`` are true."""
-        members = list(bools)
-        for member in members:
-            if not isinstance(member, BoolRef):
-                raise UnsupportedExpression(f"objectives count booleans only, not {member!r}")
-        self.objective = list(dict.fromkeys(members))
+        self.objective = _bool_vars(bools, "objectives")
+
+    def _lit(self, lit: LiteralLike) -> int:
+        """The engine literal of ``lit``, giving a new atom the next engine variable."""
+        positive = True
+        if isinstance(lit, Literal):
+            lit, positive = lit.base, lit.positive
+        if isinstance(lit, BoolRef):
+            var = lit.index
+        elif isinstance(lit, Atom):
+            key = (lit.x.index + 1 if lit.x is not None else 0,
+                   lit.y.index + 1 if lit.y is not None else 0, lit.k)
+            var = self.atoms.get(key)
+            if var is None:
+                var = self.atoms[key] = len(self.atom_at)
+                self.atom_at.append(key)
+        else:
+            raise BackendError(f"not a literal: {lit!r}")
+        return 2 * var + (0 if positive else 1)
+
+    def _add_clause(self, lits: list[int]) -> None:
+        # Callers convert every literal first, so that an atom of a dropped
+        # tautology still takes its engine variable.
+        unique = dict.fromkeys(lits)
+        if not any(l ^ 1 in unique for l in unique):
+            self.clauses.append(list(unique))
 
     # -- solving ---------------------------------------------------------
 
@@ -251,43 +250,14 @@ class SolverContext:
         Raises TimeoutError when the engine runs out of time, never a
         silent None.
         """
-        engine = Engine(self._compile(), timeout=timeout)
+        engine = Engine(self, timeout=timeout)
         best = None
         while _found(engine.solve()):
-            best = self._extract(engine)
+            best = Model(engine)
             if self.objective is None:
                 break
-            engine.bound_objective(sum(1 for b in self.objective if best[b]) - 1)
+            engine.bound_objective(sum(1 for v in self.objective if engine.assigns[v] == 1) - 1)
         return best
-
-    def _compile(self) -> EngineSpec:
-        spec = EngineSpec(n_bools=len(self.bools))
-        for ref in self.ints:
-            spec.add_int(ref.lo, ref.hi)
-        for c in self.constraints:
-            if isinstance(c, Atom):
-                spec.add_clause([self._engine_lit(Literal(c, True), spec)])
-            elif isinstance(c, Clause):
-                spec.add_clause([self._engine_lit(l, spec) for l in c.literals])
-            elif isinstance(c, Cardinality):
-                spec.add_cardinality([v.index for v in c.vars], c.n)
-        if self.objective is not None:
-            spec.objective = [b.index for b in self.objective]
-        return spec
-
-    def _engine_lit(self, lit: Literal, spec: EngineSpec) -> int:
-        if isinstance(lit.base, BoolRef):
-            var = lit.base.index
-        else:
-            atom = lit.base
-            xi = atom.x.index + 1 if atom.x is not None else 0
-            yi = atom.y.index + 1 if atom.y is not None else 0
-            var = spec.intern_atom(xi, yi, atom.k)
-        return var * 2 + (0 if lit.positive else 1)
-
-    def _extract(self, engine: Engine) -> Model:
-        bools, ints = engine.model()
-        return Model(bools, ints[1 : len(self.ints) + 1])
 
 
 def _found(status: str) -> bool:
@@ -295,28 +265,3 @@ def _found(status: str) -> bool:
     if status == "timeout":
         raise TimeoutError("solver timed out")
     return status == "sat"
-
-
-# -- independent evaluation (used by tests as the soundness oracle) -------
-
-
-def evaluate_literal(lit: LiteralLike, model) -> bool:
-    lit = _as_literal(lit)
-    if isinstance(lit.base, BoolRef):
-        value = bool(model[lit.base])
-    else:
-        atom = lit.base
-        x = model[atom.x] if atom.x is not None else 0
-        y = model[atom.y] if atom.y is not None else 0
-        value = (x - y) <= atom.k
-    return value if lit.positive else not value
-
-
-def evaluate_constraint(constraint: Constraint, model) -> bool:
-    if isinstance(constraint, Atom):
-        return evaluate_literal(constraint, model)
-    if isinstance(constraint, Clause):
-        return any(evaluate_literal(l, model) for l in constraint.literals)
-    if isinstance(constraint, Cardinality):
-        return sum(1 for v in constraint.vars if model[v]) == constraint.n
-    raise BackendError(f"not a constraint: {constraint!r}")

@@ -21,14 +21,15 @@ from .validation import ValidationInputError, validate
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="comsat", description=__doc__)
+    defaults = SolverConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("--instance", required=True, type=Path)
-    p_solve.add_argument("--max-paths", type=int, default=10)
-    p_solve.add_argument("--max-route-iters", type=int, default=10)
-    p_solve.add_argument("--timeout", type=float, default=300.0)
-    p_solve.add_argument("--stage-timeout", type=float, default=60.0)
+    p_solve.add_argument("--max-paths", type=int, default=defaults.max_paths)
+    p_solve.add_argument("--max-route-iters", type=int, default=defaults.max_route_iters)
+    p_solve.add_argument("--timeout", type=float, default=defaults.total_timeout)
+    p_solve.add_argument("--stage-timeout", type=float, default=defaults.stage_timeout)
     p_solve.add_argument("--output", type=Path, help="write the schedule JSON here")
     p_solve.add_argument("--assignment-output", type=Path, help="write the assignment JSON here")
     p_solve.add_argument("--stats", type=Path, help="write run statistics JSON here")
@@ -105,7 +106,9 @@ def _cmd_validate(args) -> int:
 
 def _read_grid(doc) -> tuple[list[GenParams], SolverConfig]:
     """Instance classes and solver caps of a ``comsat bench`` grid document."""
-    defaults = {"max_paths": 10, "max_route_iters": 10, "stage_timeout": 60.0, "timeout": 300.0}
+    base = SolverConfig()
+    defaults = {"max_paths": base.max_paths, "max_route_iters": base.max_route_iters,
+                "stage_timeout": base.stage_timeout, "timeout": base.total_timeout}
     classes, max_paths, max_route_iters = json_fields(
         {**defaults, **doc} if isinstance(doc, dict) else doc, "grid",
         classes=list, max_paths=int, max_route_iters=int,

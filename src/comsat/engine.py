@@ -16,58 +16,21 @@ off the assignment.  Unit clauses and what each cardinality forces on its
 own are put on the trail in the constructor, which records a root
 conflict for ``solve`` to report.
 
-Literal encoding is MiniSat-style: variable ``v`` has positive literal
-``2*v`` and negative literal ``2*v + 1``.  Boolean variables come first,
-then one engine variable per interned difference atom.  Theory node 0 is
-the fixed zero reference; user integers are nodes ``1..n``.
+The problem is a ``backend.SolverContext``, read as it stands.  Its
+``clauses`` and ``cards`` hold MiniSat-style literals: variable ``v`` has
+positive literal ``2*v`` and negative literal ``2*v + 1``.  Variables are
+numbered in the order the context created them, booleans and difference
+atoms interleaved, and ``atom_at[v]`` is the atom ``(x, y, k)``, meaning
+``x - y <= k`` over theory nodes, of variable ``v``, or None for a
+boolean.  Theory node 0 is the fixed zero reference; the context's
+integers are nodes ``1..n``.  The engine copies the clauses it watches,
+because watching reorders them, and never changes the context.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-
-
-class EngineSpec:
-    """Normalized problem handed from the context to the engine."""
-
-    def __init__(self, n_bools: int):
-        self.n_bools = n_bools
-        self.int_bounds: list[tuple[int, int]] = []
-        self.atoms: list[tuple[int, int, int]] = []
-        self._atom_index: dict[tuple[int, int, int], int] = {}
-        self.clauses: list[list[int]] = []
-        self.cards: list[tuple[list[int], int]] = []
-        # Boolean variables whose true count is minimized, or None.
-        self.objective: list[int] | None = None
-
-    def add_int(self, lo: int, hi: int) -> int:
-        self.int_bounds.append((lo, hi))
-        return len(self.int_bounds)
-
-    def intern_atom(self, x: int, y: int, k: int) -> int:
-        key = (x, y, k)
-        idx = self._atom_index.get(key)
-        if idx is None:
-            idx = len(self.atoms)
-            self._atom_index[key] = idx
-            self.atoms.append(key)
-        return self.n_bools + idx
-
-    def add_clause(self, lits: list[int]) -> None:
-        seen: set[int] = set()
-        out: list[int] = []
-        for l in lits:
-            if l ^ 1 in seen:
-                return  # tautology
-            if l not in seen:
-                seen.add(l)
-                out.append(l)
-        self.clauses.append(out)
-
-    def add_cardinality(self, bool_vars: list[int], n: int) -> None:
-        members = list(dict.fromkeys(bool_vars))
-        self.cards.append((members, n))
 
 
 class _Card:
@@ -159,13 +122,13 @@ class _Theory:
 
 
 class Engine:
-    def __init__(self, spec: EngineSpec, timeout: float | None = None):
-        self.spec = spec
+    def __init__(self, ctx, timeout: float | None = None):
+        """Search over ``ctx``, a ``backend.SolverContext``, read in place."""
         self.deadline = time.monotonic() + timeout if timeout is not None else None
         self._ticks = 0
 
-        self.n_bools = spec.n_bools
-        nv = self.n_bools + len(spec.atoms)
+        self.atom_at = ctx.atom_at
+        nv = len(ctx.atom_at)
 
         self.assigns = [0] * nv          # 0 unassigned, 1 true, -1 false
         self.var_level = [0] * nv
@@ -176,9 +139,9 @@ class Engine:
         self.qhead = 0
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * nv)]
 
-        self.theory = _Theory(1 + len(spec.int_bounds))
+        self.theory = _Theory(1 + len(ctx.int_bounds))
         self.root_conflict = False
-        for node, (lo, hi) in enumerate(spec.int_bounds, start=1):
+        for node, (lo, hi) in enumerate(ctx.int_bounds, start=1):
             if self.theory.assert_edge(0, node, lo, -1) is not None:
                 self.root_conflict = True
             if self.theory.assert_edge(node, 0, -hi, -1) is not None:
@@ -186,7 +149,7 @@ class Engine:
 
         self.clauses: list[list[int]] = []
         units: list[int] = []
-        for lits in spec.clauses:
+        for lits in ctx.clauses:
             if not lits:
                 self.root_conflict = True
             elif len(lits) == 1:
@@ -196,7 +159,7 @@ class Engine:
 
         self.cards: list[_Card] = []
         self.card_occ: list[list[_Card]] = [[] for _ in range(nv)]
-        for members, n in spec.cards:
+        for members, n in ctx.cards:
             card = _Card(members, n)
             self.cards.append(card)
             for v in members:
@@ -204,7 +167,7 @@ class Engine:
 
         # The positive literals of the objective variables (a dict as an
         # insertion-ordered set) and their bound once branch-and-bound runs.
-        self.pb_lits: dict[int, None] = dict.fromkeys(2 * v for v in spec.objective or ())
+        self.pb_lits: dict[int, None] = dict.fromkeys(2 * v for v in ctx.objective or ())
         self.pb_bound: int | None = None
 
         # Root facts: the unit clauses, then what each cardinality forces alone.
@@ -237,8 +200,9 @@ class Engine:
         self.reasons[var] = reason
         edge_node = -1
         conflict: list[int] | None = None
-        if var >= self.n_bools:
-            x, y, k = self.spec.atoms[var - self.n_bools]
+        atom = self.atom_at[var]
+        if atom is not None:
+            x, y, k = atom
             if value == 1:
                 u, v, w = x, y, -k        # x - y <= k  ==  y >= x - k
             else:
@@ -493,8 +457,3 @@ class Engine:
             self.root_conflict = True
         else:
             self.pb_bound = bound
-
-    def model(self) -> tuple[list[bool], list[int]]:
-        bools = [self.assigns[v] == 1 for v in range(self.n_bools)]
-        ints = self.theory.minimal_values()
-        return bools, ints

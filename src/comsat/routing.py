@@ -13,7 +13,6 @@ they belong to the assignment stage, which knows the actual vehicles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import backend as B
@@ -79,14 +78,16 @@ def router(
     keys = [start_key, *customers, end_key]
 
     ctx = B.SolverContext()
-    cap = inst.fleet.operating_range
+    # Charge counts in units of 1/q for a discharge coefficient p/q, so an
+    # arc of length d drains exactly p*d units, with no rounding.
     discharge = inst.fleet.discharge_coeff
+    cap = inst.fleet.operating_range * discharge.denominator
 
     cs = {key: ctx.int_var(task_of[key].window_lo, task_of[key].window_hi) for key in keys}
     rc = {key: ctx.int_var(0, cap) for key in keys}
     # Full charge at dispatch: every route leaves the depot with the whole
     # operating range available.
-    ctx.add(rc[start_key] >= cap)
+    ctx.clause(rc[start_key] >= cap)
 
     def dist(a: TaskKey, b: TaskKey) -> int:
         return paths.distance(task_of[a].location, task_of[b].location)
@@ -99,17 +100,16 @@ def router(
             var = ctx.bool_var()
             arcs[(a, b)] = var
             d = dist(a, b)
-            ctx.add(B.implies(var, cs[b] - cs[a] >= d))
-            drop = math.ceil(discharge * d)
-            ctx.add(B.implies(var, rc[a] - rc[b] >= drop))
+            ctx.implies(var, cs[b] - cs[a] >= d)
+            ctx.implies(var, rc[a] - rc[b] >= discharge.numerator * d)
         return var
 
     # Every task has exactly one successor (toward another task or the end)
     # and exactly one predecessor (from another task or the start).
     for t1 in customers:
-        ctx.add(B.exactly_one([arc(t1, t2) for t2 in customers if t2 != t1] + [arc(t1, end_key)]))
+        ctx.exactly([arc(t1, t2) for t2 in customers if t2 != t1] + [arc(t1, end_key)], 1)
     for t2 in customers:
-        ctx.add(B.exactly_one([arc(t1, t2) for t1 in customers if t1 != t2] + [arc(start_key, t2)]))
+        ctx.exactly([arc(t1, t2) for t1 in customers if t1 != t2] + [arc(start_key, t2)], 1)
 
     # Any successor cycle has zero total distance, which only co-located
     # tasks can produce (the arrival chain kills everything longer).  A
@@ -129,16 +129,16 @@ def router(
         block = [(job.name, t.name) for t in job.tasks]
         if len(block) >= 2:
             _strict_order(ctx, block, arc, transitive_predecessors(job))
-            ctx.add(B.exactly_n([arc(a, b) for a in block for b in block if a != b], len(block) - 1))
+            ctx.exactly([arc(a, b) for a in block for b in block if a != b], len(block) - 1)
 
     # Deliveries happen no earlier than their pickups.
     for job in inst.customer_jobs():
         for t in job.tasks:
             for p in t.predecessors:
-                ctx.add(cs[(job.name, t.name)] - cs[(job.name, p)] >= 0)
+                ctx.clause(cs[(job.name, t.name)] - cs[(job.name, p)] >= 0)
 
     for old in prev:
-        ctx.add(B.clause(*[~arcs[pair] for pair in old.chosen_dirs if pair in arcs]))
+        ctx.clause(*[~arcs[pair] for pair in old.chosen_dirs if pair in arcs])
 
     ctx.minimize(arc(start_key, t) for t in customers)
 
@@ -155,22 +155,22 @@ def _strict_order(ctx: B.SolverContext, keys: list[TaskKey], arc, closure=None) 
     a task name to the names of the tasks it must follow (keys of one job
     only).
     """
-    before: dict[tuple[TaskKey, TaskKey], B.Literal] = {}
+    before: dict[tuple[TaskKey, TaskKey], B.LiteralLike] = {}
     for i, a in enumerate(keys):
         for b in keys[i + 1 :]:
             var = ctx.bool_var()
-            before[(a, b)] = B.Literal(var, True)
-            before[(b, a)] = B.Literal(var, False)
+            before[(a, b)] = var
+            before[(b, a)] = ~var
     for a in keys:
         for b in keys:
             if a == b:
                 continue
             if closure is not None and b[1] in closure[a[1]]:
-                ctx.add(B.clause(before[(b, a)]))
-            ctx.add(B.implies(arc(a, b), before[(a, b)]))
+                ctx.clause(before[(b, a)])
+            ctx.implies(arc(a, b), before[(a, b)])
             for c in keys:
                 if c not in (a, b):
-                    ctx.add(B.clause(~before[(a, b)], ~before[(b, c)], before[(a, c)]))
+                    ctx.clause(~before[(a, b)], ~before[(b, c)], before[(a, c)])
 
 
 def _extract_routes(inst, paths, model, arcs, cs, customers, start_key, end_key, task_of) -> RouteSet:

@@ -180,11 +180,11 @@ def scheduler(
         node_vars.append(nv)
         edge_vars.append(ev)
         for p, edge in enumerate(trace.edges):
-            ctx.add(ev[p] - nv[p] >= 0)
+            ctx.clause(ev[p] - nv[p] >= 0)
             # Arrival is exactly the edge entry plus its travel time, so the
             # replayed occupancy has no gaps; waiting happens at nodes.
-            ctx.add(nv[p + 1] - ev[p] >= edge.length)
-            ctx.add(nv[p + 1] - ev[p] <= edge.length)
+            ctx.clause(nv[p + 1] - ev[p] >= edge.length)
+            ctx.clause(nv[p + 1] - ev[p] <= edge.length)
 
     # Non-depot nodes hold one vehicle at a time; the one-step margin keeps
     # a vehicle from entering the instant another leaves (no swaps).
@@ -203,11 +203,9 @@ def scheduler(
         for (ta, pa), (tb, pb) in itertools.combinations(occurrences, 2):
             if ta == tb:
                 continue
-            ctx.add(
-                B.clause(
-                    node_vars[ta][pa] - departure_var(tb, pb) >= 1,
-                    node_vars[tb][pb] - departure_var(ta, pa) >= 1,
-                )
+            ctx.clause(
+                node_vars[ta][pa] - departure_var(tb, pb) >= 1,
+                node_vars[tb][pb] - departure_var(ta, pa) >= 1,
             )
 
     by_edge: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -234,7 +232,7 @@ def scheduler(
                     for (ta, pa), (tb, pb) in itertools.permutations(subset, 2)
                     if ta != tb
                 ]
-                ctx.add(B.clause(*lits))
+                ctx.clause(*lits)
 
         reverse = by_edge.get((v, u))
         if reverse and (u, v) < (v, u):
@@ -244,11 +242,9 @@ def scheduler(
                     continue
                 # Head-on: one vehicle must be done transiting before the
                 # opposite one starts, regardless of capacity.
-                ctx.add(
-                    B.clause(
-                        edge_vars[ta][pa] - edge_vars[tb][pb] >= rev_length,
-                        edge_vars[tb][pb] - edge_vars[ta][pa] >= length,
-                    )
+                ctx.clause(
+                    edge_vars[ta][pa] - edge_vars[tb][pb] >= rev_length,
+                    edge_vars[tb][pb] - edge_vars[ta][pa] >= length,
                 )
 
     # A vehicle turns around: next route starts only after the previous one
@@ -261,7 +257,7 @@ def scheduler(
         items.sort(key=lambda ti: (traces[ti].start, traces[ti].route_index))
         for earlier, later in zip(items, items[1:]):
             gap = math.ceil(charge * route_lengths[later])
-            ctx.add(node_vars[later][0] - node_vars[earlier][-1] >= gap)
+            ctx.clause(node_vars[later][0] - node_vars[earlier][-1] >= gap)
 
     model = ctx.check_minimize(timeout=timeout)
     if model is None:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import comsat
-from comsat.cli import main
+from comsat.cli import _read_grid, main
 
 
 def test_gen_solve_validate_round_trip(tmp_path, capsys):
@@ -67,6 +67,22 @@ def test_solve_unsat_exit_code(tmp_path):
     path = tmp_path / "late.json"
     path.write_text(json.dumps(doc))
     assert main(["solve", "--instance", str(path)]) == 1
+
+
+def test_solve_without_flags_uses_solver_config_defaults(tmp_path, monkeypatch):
+    seen = []
+
+    def record(inst, cfg):
+        seen.append(cfg)
+        return comsat.SolveResult(status=comsat.pipeline.SolveStatus.UNKNOWN)
+
+    monkeypatch.setattr("comsat.cli.solve", record)
+    path = tmp_path / "plant.json"
+    path.write_text(comsat.serialize_instance(comsat.example_instance()))
+    assert main(["solve", "--instance", str(path)]) == 2
+    assert seen == [comsat.SolverConfig()]
+    # A bench grid that names no cap gets the same defaults.
+    assert _read_grid({"classes": []}) == ([], comsat.SolverConfig())
 
 
 def test_error_exit_code_on_bad_instance(tmp_path, capsys):

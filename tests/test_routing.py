@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import itertools
-import math
 
 import pytest
 
 from comsat.generate import GenParams, generate
 from comsat.instance import END_JOB, START_JOB
+from comsat.oracle import brute_oracle
 from comsat.paths import enumerate_paths, pathfinder
 from comsat.pipeline import SolverConfig, SolveStatus, solve
 from comsat.routing import router
@@ -72,7 +72,7 @@ def test_route_structure_and_charge_audit(plant21):
         for a, b in zip(route.visits, route.visits[1:]):
             d = combo.distance(a.location, b.location)
             assert b.arrival >= a.arrival + d
-            used += math.ceil(discharge * d)
+            used += discharge * d
         assert used <= cap
         assert route.length == sum(
             combo.distance(a.location, b.location) for a, b in zip(route.visits, route.visits[1:])
@@ -200,6 +200,25 @@ def test_out_of_range_job_is_infeasible():
     assert routes is None
 
 
+def test_fractional_discharge_is_not_rounded_up():
+    # Out to 1, on to 2 and back: arcs of 1, 1 and 2 drain 0.5 + 0.5 + 1,
+    # exactly the range 2.  Rounding each arc up drained 3 and made the
+    # shortest-distance router declare the instance infeasible.
+    inst = make_instance(
+        nodes=[0, 1, 2],
+        depot=0,
+        segments=[(0, 1, 1, 1), (1, 2, 1, 1)],
+        jobs={"J": {"tasks": {"1": (1, 0, None), "2": (2, 0, None, ["1"])}}},
+        horizon=10,
+        operating_range=2,
+        discharge_coeff=0.5,
+    )
+    assert brute_oracle(inst) is True
+    result = solve(inst, SolverConfig(total_timeout=10.0))
+    assert result.status == SolveStatus.SAT
+    assert validate(inst, result.schedule, result.assignment).ok
+
+
 # -- minimality against exhaustive ordering search -------------------------
 
 
@@ -215,11 +234,11 @@ def _earliest_feasible(inst, combo, sequence) -> bool:
         time = max(time + d, task.window_lo)
         if time > task.window_hi:
             return False
-        charge -= math.ceil(discharge * d)
+        charge -= discharge * d
         if charge < 0:
             return False
         here = task.location
-    charge -= math.ceil(discharge * combo.distance(here, depot))
+    charge -= discharge * combo.distance(here, depot)
     return charge >= 0 and time + combo.distance(here, depot) <= inst.horizon
 
 
