@@ -16,12 +16,11 @@ from .instance import (
     InstanceSyntaxError,
     Job,
     Task,
-    mutex_sets,
     parse_instance,
     serialize_instance,
 )
 from .paths import Path, PathCombination, PathTable, enumerate_paths, pathfinder
-from .routing import Route, RouteSet, RouterError, router
+from .routing import Route, RouteSearch, RouteSet, RouterError, router
 from .assignment import Assignment, assign
 from .scheduling import RouteTrace, Schedule, expand_routes, scheduler
 from .pipeline import SolveResult, SolverConfig, solve
@@ -45,6 +44,7 @@ __all__ = [
     "PathCombination",
     "PathTable",
     "Route",
+    "RouteSearch",
     "RouteSet",
     "RouteTrace",
     "RouterError",
@@ -58,7 +58,6 @@ __all__ = [
     "brute_oracle",
     "enumerate_paths",
     "generate",
-    "mutex_sets",
     "parse_instance",
     "pathfinder",
     "router",

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import backend as B
-from .instance import Instance, json_fields
+from .instance import Instance, ValidationInputError, json_fields
 from .routing import Route, RouteSet
 
 
@@ -37,12 +37,15 @@ class Assignment:
 
 
 def assignment_from_json(text: str) -> Assignment:
-    """Rebuild an Assignment; ValidationInputError on a missing or mistyped field."""
+    """Rebuild an Assignment; ValidationInputError on a missing or mistyped
+    field, or unless the rows name the routes ``0..n-1`` once each."""
     (rows,) = json_fields(json.loads(text), "assignment file", assignments=list)
     # (route, vehicle, start, end) per row, in route order.
     fields = sorted(
         json_fields(row, "assignment row", route=int, vehicle=str, start=int, end=int) for row in rows
     )
+    if [f[0] for f in fields] != list(range(len(fields))):
+        raise ValidationInputError("assignment rows must name the routes 0..n-1, each once")
     return Assignment(
         vehicles=tuple(f[1] for f in fields),
         starts=tuple(f[2] for f in fields),

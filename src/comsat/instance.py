@@ -465,18 +465,3 @@ def serialize_instance(inst: Instance) -> str:
         "jobs": jobs,
     }
     return json.dumps(doc, indent=2)
-
-
-def mutex_sets(inst: Instance) -> dict[str, frozenset[str]]:
-    """Jobs whose eligible vehicle sets are disjoint, per customer job.
-
-    The relation is symmetric and irreflexive; synthetic anchor jobs are
-    excluded (they are eligible for the whole fleet).
-    """
-    customers = inst.customer_jobs()
-    out: dict[str, frozenset[str]] = {}
-    for j in customers:
-        out[j.name] = frozenset(
-            k.name for k in customers if k.name != j.name and not (j.eligible & k.eligible)
-        )
-    return out

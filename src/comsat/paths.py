@@ -175,14 +175,6 @@ def _yen(adj: Adjacency, edge_map: EdgeMap, first: Path) -> Iterator[Path]:
         yield found[-1]
 
 
-def k_shortest_paths(graph: Graph, source: int, target: int, k: int) -> list[Path]:
-    """Yen-style deviation search for the K shortest simple paths."""
-    adj = _sorted_successors(graph)
-    edge_map = graph.edge_map()
-    first = _first_path(adj, edge_map, _distances_to(graph, target), source, target)
-    return [] if first is None else list(itertools.islice(_yen(adj, edge_map, first), k))
-
-
 def _distances_to(graph: Graph, target: int) -> dict[int, int]:
     """Shortest distance from every node that reaches ``target``."""
     into: Adjacency = {n: [] for n in graph.nodes}

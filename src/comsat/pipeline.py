@@ -2,12 +2,13 @@
 
 Path selection feeds routing, routing feeds assignment, assignment feeds
 scheduling.  Whenever a stage comes back infeasible the loop backtracks:
-assignment or scheduling failures ask the router for a different route set
-(previous ones are blocked); a routing failure asks for a new path
-combination -- unless no route set was ever produced for the current
-combination, in which case the instance is declared infeasible outright,
-because any remaining combination only has longer paths.  Iteration caps
-and timeouts surface as "unknown", never as a false "unsat".
+assignment or scheduling failures ask the combination's route search for
+its next route set; a spent search asks for a new path combination --
+unless it never produced a route set, in which case the instance is
+declared infeasible outright.  That shortcut is sound only at the
+pointwise-shortest combination; combinations come by node count, and a
+later one can be shorter for some pair.  Iteration caps and timeouts
+surface as "unknown", never as a false "unsat".
 
 Every stage call goes through one stage runner, which hands the stage its
 share of the remaining time, counts and times the call, and turns an
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from .assignment import Assignment, assign
 from .instance import Instance
 from .paths import PathCombination, enumerate_paths, pathfinder
-from .routing import RouteSet, router
+from .routing import RouteSearch, RouteSet, router
 from .scheduling import Schedule, expand_routes, scheduler
 from .validation import validate
 
@@ -116,27 +117,24 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
             if combo is None:
                 return exhausted()
             stats["combinations"] += 1
-            previous_routes: list[RouteSet] = []
+            search, found = RouteSearch(inst, combo), 0
 
             while True:
-                routes = stage("router_calls", "time_router",
-                               lambda budget: router(inst, combo, previous_routes, timeout=budget))
+                routes = stage("router_calls", "time_router", lambda budget: router(search, timeout=budget))
                 if routes is None:
-                    if not previous_routes:
-                        # First routing attempt failed: longer paths cannot help.
+                    if not found:  # the first attempt failed: sound only at shortest distances
                         return exhausted()
                     break  # try the next path combination
-                previous_routes.append(routes)
+                found += 1
                 stats["router_solutions"] += 1
 
-                asg = stage("assign_calls", "time_assign",
-                            lambda budget: assign(inst, routes, timeout=budget))
+                asg = stage("assign_calls", "time_assign", lambda budget: assign(inst, routes, timeout=budget))
                 sched = None if asg is None else stage(
                     "scheduler_calls", "time_scheduler",
-                    lambda budget: scheduler(inst, expand_routes(routes, combo, asg), asg, timeout=budget),
+                    lambda budget: scheduler(inst, expand_routes(routes, combo, asg), timeout=budget),
                 )
                 if sched is None:
-                    if len(previous_routes) >= cfg.max_route_iters:
+                    if found >= cfg.max_route_iters:
                         truncated = True
                         break
                     continue

@@ -3,9 +3,11 @@
 Builds depot-to-depot visit sequences covering every task exactly once,
 with arrival times consistent with the pairwise distances fixed by the
 current path combination, battery charge tracked along each sequence, and
-the number of sequences (vehicles) minimized.  Previously produced route
-sets are excluded through blocking clauses so that backtracking can
-enumerate alternatives.
+the number of sequences (vehicles) minimized.
+
+A :class:`RouteSearch` keeps one model per path combination, and each
+:func:`router` call blocks the arc set it returns in that model, so every
+route set comes exactly once, fewest vehicles first.
 
 Vehicle eligibility and fleet size are deliberately not enforced here;
 they belong to the assignment stage, which knows the actual vehicles.
@@ -54,45 +56,61 @@ class Route:
 @dataclass(frozen=True)
 class RouteSet:
     routes: tuple[Route, ...]
-    chosen_dirs: tuple[tuple[TaskKey, TaskKey], ...]
 
 
-def router(
-    inst: Instance,
-    paths: PathCombination,
-    prev: list[RouteSet],
-    timeout: float | None = None,
-) -> RouteSet | None:
-    """Minimum-vehicle route set over the given distances, or None if spent.
+class RouteSearch:
+    """The route sets of one path combination; the first :func:`router` call builds its model."""
 
-    ``prev`` lists route sets to exclude.  Raises TimeoutError when the
-    backend cannot finish in time and RouterError when a returned model
-    cannot be turned into depot-anchored routes.
+    def __init__(self, inst: Instance, paths: PathCombination):
+        self.inst, self.paths = inst, paths
+        self.task_of = {(j.name, t.name): t for j in inst.jobs for t in j.tasks}
+        self.customers: list[TaskKey] = [(j.name, t.name) for j in inst.customer_jobs() for t in j.tasks]
+        self.start: TaskKey = (START_JOB, inst.job(START_JOB).tasks[0].name)
+        self.end: TaskKey = (END_JOB, inst.job(END_JOB).tasks[0].name)
+        self.ctx: B.SolverContext | None = None
+        self.cs: dict[TaskKey, B.IntRef] = {}
+        self.arcs: dict[tuple[TaskKey, TaskKey], B.BoolRef] = {}
+
+
+def router(search: RouteSearch, timeout: float | None = None) -> RouteSet | None:
+    """The next minimum-vehicle route set of ``search``, or None when it is spent.
+
+    Raises TimeoutError when the backend cannot finish in time and
+    RouterError when a returned model cannot be turned into depot-anchored
+    routes.
     """
-    customers: list[TaskKey] = [(j.name, t.name) for j in inst.customer_jobs() for t in j.tasks]
-    if not customers:
-        return RouteSet(routes=(), chosen_dirs=())
-    start_key: TaskKey = (START_JOB, inst.job(START_JOB).tasks[0].name)
-    end_key: TaskKey = (END_JOB, inst.job(END_JOB).tasks[0].name)
-    task_of = {(j.name, t.name): t for j in inst.jobs for t in j.tasks}
-    keys = [start_key, *customers, end_key]
+    if not search.customers:
+        return RouteSet(routes=())  # the one route set, with no arc to block
+    if search.ctx is None:
+        _build(search)
+    model = search.ctx.check_minimize(timeout=timeout)
+    if model is None:
+        return None
+    chosen = [pair for pair, var in search.arcs.items() if model[var]]
+    search.ctx.clause(*[~search.arcs[pair] for pair in chosen])
+    return _extract_routes(search, model, chosen)
 
-    ctx = B.SolverContext()
+
+def _build(search: RouteSearch) -> None:
+    inst, task_of, customers = search.inst, search.task_of, search.customers
+    start_key, end_key = search.start, search.end
+    search.ctx = ctx = B.SolverContext()
     # Charge counts in units of 1/q for a discharge coefficient p/q, so an
     # arc of length d drains exactly p*d units, with no rounding.
     discharge = inst.fleet.discharge_coeff
     cap = inst.fleet.operating_range * discharge.denominator
 
-    cs = {key: ctx.int_var(task_of[key].window_lo, task_of[key].window_hi) for key in keys}
+    keys = [start_key, *customers, end_key]
+    cs = search.cs = {key: ctx.int_var(task_of[key].window_lo, task_of[key].window_hi) for key in keys}
     rc = {key: ctx.int_var(0, cap) for key in keys}
     # Full charge at dispatch: every route leaves the depot with the whole
     # operating range available.
     ctx.clause(rc[start_key] >= cap)
 
     def dist(a: TaskKey, b: TaskKey) -> int:
-        return paths.distance(task_of[a].location, task_of[b].location)
+        return search.paths.distance(task_of[a].location, task_of[b].location)
 
-    arcs: dict[tuple[TaskKey, TaskKey], B.BoolRef] = {}
+    arcs = search.arcs
 
     def arc(a: TaskKey, b: TaskKey) -> B.BoolRef:
         var = arcs.get((a, b))
@@ -137,15 +155,7 @@ def router(
             for p in t.predecessors:
                 ctx.clause(cs[(job.name, t.name)] - cs[(job.name, p)] >= 0)
 
-    for old in prev:
-        ctx.clause(*[~arcs[pair] for pair in old.chosen_dirs if pair in arcs])
-
     ctx.minimize(arc(start_key, t) for t in customers)
-
-    model = ctx.check_minimize(timeout=timeout)
-    if model is None:
-        return None
-    return _extract_routes(inst, paths, model, arcs, cs, customers, start_key, end_key, task_of)
 
 
 def _strict_order(ctx: B.SolverContext, keys: list[TaskKey], arc, closure=None) -> None:
@@ -173,23 +183,23 @@ def _strict_order(ctx: B.SolverContext, keys: list[TaskKey], arc, closure=None) 
                     ctx.clause(~before[(a, b)], ~before[(b, c)], before[(a, c)])
 
 
-def _extract_routes(inst, paths, model, arcs, cs, customers, start_key, end_key, task_of) -> RouteSet:
+def _extract_routes(search: RouteSearch, model: B.Model, chosen: list[tuple[TaskKey, TaskKey]]) -> RouteSet:
+    """The routes that the arcs ``chosen`` in ``model`` chain together."""
+    paths, cs, task_of = search.paths, search.cs, search.task_of
+    start_key, end_key = search.start, search.end
     succ: dict[TaskKey, TaskKey] = {}
     heads: list[TaskKey] = []
-    chosen: list[tuple[TaskKey, TaskKey]] = []
-    for (a, b), var in arcs.items():
-        if model[var]:
-            chosen.append((a, b))
-            if a == start_key:
-                heads.append(b)
-            else:
-                if a in succ:
-                    raise RouterError(f"task {a} has two successors in the model")
-                succ[a] = b
+    for a, b in chosen:
+        if a == start_key:
+            heads.append(b)
+        else:
+            if a in succ:
+                raise RouterError(f"task {a} has two successors in the model")
+            succ[a] = b
 
-    def visit(key: TaskKey, arrival: int) -> Visit:
+    def visit(key: TaskKey) -> Visit:
         t = task_of[key]
-        return Visit(t.job, t.name, t.location, arrival, t.window_lo, t.window_hi)
+        return Visit(t.job, t.name, t.location, model[cs[key]], t.window_lo, t.window_hi)
 
     routes = []
     covered: set[TaskKey] = set()
@@ -205,20 +215,12 @@ def _extract_routes(inst, paths, model, arcs, cs, customers, start_key, end_key,
             if node is None:
                 raise RouterError("route does not reach the end anchor")
         sequence.append(end_key)
-        length = 0
-        cumulative = [0]
+        length, latest = 0, task_of[start_key].window_hi
         for a, b in zip(sequence, sequence[1:]):
             length += paths.distance(task_of[a].location, task_of[b].location)
-            cumulative.append(length)
-        latest = min(
-            task_of[key].window_hi - cumulative[i] for i, key in enumerate(sequence)
-        )
-        visits = tuple(
-            visit(key, model[cs[key]] if i > 0 else model[cs[start_key]])
-            for i, key in enumerate(sequence)
-        )
-        routes.append(Route(visits=visits, length=length, latest_start=latest))
-    leftover = set(customers) - covered
+            latest = min(latest, task_of[b].window_hi - length)
+        routes.append(Route(visits=tuple(map(visit, sequence)), length=length, latest_start=latest))
+    leftover = set(search.customers) - covered
     if leftover:
         raise RouterError(f"tasks {sorted(leftover)} form a cycle unreachable from the start anchor")
-    return RouteSet(routes=tuple(routes), chosen_dirs=tuple(chosen))
+    return RouteSet(routes=tuple(routes))

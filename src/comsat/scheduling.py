@@ -155,7 +155,6 @@ def expand_routes(routes: RouteSet, paths: PathCombination, asg: Assignment) -> 
 def scheduler(
     inst: Instance,
     traces: list[RouteTrace],
-    asg: Assignment,
     timeout: float | None = None,
 ) -> Schedule | None:
     """Solve entry times for all traces, or None when conflicts cannot resolve."""

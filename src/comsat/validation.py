@@ -14,7 +14,8 @@ the marks themselves (the node is the task's location, each task is served
 once) and never guesses them.
 
 Structurally broken inputs (unknown vehicles, tasks or edges, mismatched
-trace shapes, serve marks outside their trace) raise
+trace shapes, a trace on another vehicle than its route's assignment row,
+serve marks outside their trace) raise
 :class:`ValidationInputError`; rule violations are reported, not raised.
 """
 
@@ -57,10 +58,11 @@ def _structure_check(inst: Instance, sched: Schedule, asg: Assignment) -> None:
     customer_tasks = {(t.job, t.name) for t in inst.customer_tasks()}
     for st in sched.traces:
         t = st.trace
-        if t.route_index >= n_routes:
+        if not 0 <= t.route_index < n_routes:
             raise ValidationInputError(f"trace references unknown route {t.route_index}")
-        if t.vehicle not in inst.fleet.vehicles:
-            raise ValidationInputError(f"unknown vehicle {t.vehicle!r} in schedule")
+        if t.vehicle != asg.vehicles[t.route_index]:
+            raise ValidationInputError(f"trace of route {t.route_index} runs on {t.vehicle!r}, "
+                                       f"its assignment row on {asg.vehicles[t.route_index]!r}")
         if not t.nodes:
             raise ValidationInputError(f"trace of route {t.route_index} has no nodes")
         if len(t.edges) != len(t.nodes) - 1:

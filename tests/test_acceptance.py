@@ -18,7 +18,7 @@ from comsat.generate import GenParams, generate, tiny_params
 from comsat.oracle import brute_oracle
 from comsat.paths import Path, PathTable, enumerate_paths, pathfinder
 from comsat.pipeline import SolverConfig, SolveStatus, solve
-from comsat.routing import router
+from comsat.routing import RouteSearch, router
 from comsat.validation import validate
 
 from test_routing import _min_vehicles_brute
@@ -147,7 +147,7 @@ def test_criterion_5_router_minimality_exact():
             )
             table = enumerate_paths(inst, 10)
             combo = pathfinder(table)
-            routes = router(inst, combo, [])
+            routes = router(RouteSearch(inst, combo))
             expected = _min_vehicles_brute(inst, combo)
             if expected is None:
                 assert routes is None

@@ -7,7 +7,7 @@ import pytest
 from comsat.assignment import Assignment, assign, assignment_from_json
 from comsat.instance import END_JOB, START_JOB
 from comsat.paths import enumerate_paths, pathfinder
-from comsat.routing import Route, RouteSet, Visit, router
+from comsat.routing import Route, RouteSearch, RouteSet, Visit, router
 
 from conftest import make_instance
 
@@ -30,7 +30,7 @@ def test_single_route_forced_match():
         jobs={"J": {"eligible": ["R1"], "tasks": {"1": (1, 0, None)}}},
         horizon=10,
     )
-    routes = RouteSet(routes=(_route([Visit("J", "1", 1, 1, 0, 10)], 2, 8),), chosen_dirs=())
+    routes = RouteSet(routes=(_route([Visit("J", "1", 1, 1, 0, 10)], 2, 8),))
     asg = assign(inst, routes)
     assert asg == Assignment(vehicles=("R1",), starts=(0,), ends=(2,))
 
@@ -52,7 +52,6 @@ def test_same_vehicle_deadline_clash_infeasible():
             _route([Visit("A", "1", 1, 5, 0, 40)], 10, 0),
             _route([Visit("B", "1", 1, 5, 0, 40)], 10, 0),
         ),
-        chosen_dirs=(),
     )
     assert assign(inst, routes) is None
 
@@ -66,7 +65,7 @@ def test_empty_eligibility_short_circuits():
         jobs={"J": {"eligible": ["GHOST"], "tasks": {"1": (1, 0, None)}}},
         horizon=10,
     )
-    routes = RouteSet(routes=(_route([Visit("J", "1", 1, 1, 0, 10)], 2, 8),), chosen_dirs=())
+    routes = RouteSet(routes=(_route([Visit("J", "1", 1, 1, 0, 10)], 2, 8),))
     assert assign(inst, routes) is None
 
 
@@ -98,7 +97,7 @@ def test_plant21_single_job_routes_admit_paper_style_assignment(plant21):
             prev = v.location
         return Route(visits=tuple(visits), length=total, latest_start=late)
 
-    routes = RouteSet(routes=tuple(single_route(j) for j in "ABCD"), chosen_dirs=())
+    routes = RouteSet(routes=tuple(single_route(j) for j in "ABCD"))
     asg = assign(plant21, routes)
     assert asg is not None
     for i, job_name in enumerate("ABCD"):
@@ -116,16 +115,12 @@ def test_plant21_single_job_routes_admit_paper_style_assignment(plant21):
 
 
 def test_assignment_properties_on_solver_output(plant21):
-    table = enumerate_paths(plant21, 10)
-    combo = pathfinder(table)
-    prev = []
-    while True:
-        routes = router(plant21, combo, prev)
+    search = RouteSearch(plant21, pathfinder(enumerate_paths(plant21, 10)))
+    asg = None
+    while asg is None:
+        routes = router(search)
         assert routes is not None
         asg = assign(plant21, routes)
-        if asg is not None:
-            break
-        prev.append(routes)
     rs = routes.routes
     charge = plant21.fleet.charge_coeff
     for i, route in enumerate(rs):

@@ -151,7 +151,7 @@ def _validate_files(tmp_path, *, schedule_edit=None, assignment_edit=None):
         "depot": 0,
         "edges": [{"u": 0, "v": 1, "len": 2, "cap": 1, "directed": False}],
         "horizon": 20,
-        "vehicles": ["R1"],
+        "vehicles": ["R1", "R2"],
         "operating_range": 100,
         "charge_coeff": 0,
         "discharge_coeff": 1,
@@ -193,6 +193,10 @@ def _trace(sched):
     return sched["traces"][0]
 
 
+def _row(asg):
+    return asg["assignments"][0]
+
+
 @pytest.mark.parametrize(
     "schedule_edit, assignment_edit",
     [
@@ -202,6 +206,8 @@ def _trace(sched):
         (lambda s: _trace(s).pop("serves"), None),
         (lambda s: _trace(s)["serves"].append("J/1"), None),
         (lambda s: _trace(s).update(nodes=[], edges=[], serves=[]), None),
+        (None, lambda a: _row(a).update(vehicle="R2")),
+        (None, lambda a: a["assignments"].append(dict(_row(a)))),
     ],
     ids=[
         "node-without-time",
@@ -210,6 +216,8 @@ def _trace(sched):
         "trace-without-serves",
         "serve-mark-not-an-object",
         "trace-without-nodes",
+        "row-names-another-vehicle",
+        "two-rows-for-route-0",
     ],
 )
 def test_validate_malformed_files_exit_3(tmp_path, capsys, schedule_edit, assignment_edit):

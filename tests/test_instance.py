@@ -11,7 +11,6 @@ from comsat.instance import (
     START_JOB,
     InstanceSemanticError,
     InstanceSyntaxError,
-    mutex_sets,
     parse_instance,
     serialize_instance,
     strongly_connected,
@@ -194,49 +193,3 @@ def _reachability_oracle(graph) -> bool:
 def test_connectivity_agrees_with_reachability_sweep(seed):
     inst = generate(GenParams(nodes=7, vehicles=1, jobs=1, edge_reduction=50, horizon=10, seed=seed))
     assert strongly_connected(inst.graph) == _reachability_oracle(inst.graph)
-
-
-def test_mutex_plant21(plant21):
-    m = mutex_sets(plant21)
-    assert "C" in m["A"] and "A" in m["C"]
-    assert "B" not in m["A"]
-
-
-def test_mutex_identical_eligibility():
-    inst = make_instance(
-        nodes=[0, 1],
-        depot=0,
-        segments=[(0, 1, 1, 1)],
-        vehicles=["R1"],
-        jobs={
-            "A": {"eligible": ["R1"], "tasks": {"1": (1, 0, None)}},
-            "B": {"eligible": ["R1"], "tasks": {"1": (1, 0, None)}},
-        },
-    )
-    assert mutex_sets(inst) == {"A": frozenset(), "B": frozenset()}
-
-
-def test_mutex_disjoint_pair():
-    inst = make_instance(
-        nodes=[0, 1],
-        depot=0,
-        segments=[(0, 1, 1, 1)],
-        vehicles=["R1", "R2"],
-        jobs={
-            "A": {"eligible": ["R1"], "tasks": {"1": (1, 0, None)}},
-            "B": {"eligible": ["R2"], "tasks": {"1": (1, 0, None)}},
-        },
-    )
-    m = mutex_sets(inst)
-    assert m == {"A": frozenset({"B"}), "B": frozenset({"A"})}
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_mutex_symmetric_irreflexive(seed):
-    inst = generate(GenParams(nodes=8, vehicles=3, jobs=4, edge_reduction=0, horizon=20, seed=seed))
-    m = mutex_sets(inst)
-    for j, others in m.items():
-        assert j not in others
-        for k in others:
-            assert j in m[k]

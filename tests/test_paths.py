@@ -11,7 +11,6 @@ from comsat.paths import (
     Path,
     PathTable,
     enumerate_paths,
-    k_shortest_paths,
     pathfinder,
 )
 
@@ -32,26 +31,30 @@ def _cycle3(bidirectional: bool):
         "operating_range": 10,
         "charge_coeff": 0,
         "discharge_coeff": 1,
-        "jobs": {},
+        "jobs": {"J": {"eligible": ["R1"], "tasks": {"1": {"location": 1, "window": [0, 10], "precedes": []}}}},
     }
     return parse_instance(json.dumps(doc))
 
 
+def _completed(inst, max_paths):
+    table = enumerate_paths(inst, max_paths)
+    table.complete()
+    return table
+
+
 def test_one_way_cycle_has_single_path():
-    inst = _cycle3(bidirectional=False)
-    paths = k_shortest_paths(inst.graph, 0, 1, 2)
+    paths = _completed(_cycle3(bidirectional=False), 2).candidates[(0, 1)]
     assert [p.nodes for p in paths] == [(0, 1)]
 
 
 def test_bidirectional_triangle_has_two_paths():
-    inst = _cycle3(bidirectional=True)
-    paths = k_shortest_paths(inst.graph, 0, 1, 2)
+    paths = _completed(_cycle3(bidirectional=True), 2).candidates[(0, 1)]
     assert [p.nodes for p in paths] == [(0, 1), (0, 2, 1)]
     assert [p.length for p in paths] == [1, 2]
 
 
 def test_plant21_depot_to_18_single_hop(plant21):
-    paths = k_shortest_paths(plant21.graph, 19, 18, 1)
+    paths = _completed(plant21, 1).candidates[(19, 18)]
     assert [p.nodes for p in paths] == [(19, 18)]
 
 
@@ -79,11 +82,10 @@ def _all_simple_paths(graph, source, target):
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_k_shortest_matches_exhaustive(seed, k):
     inst = generate(tiny_params(seed))
-    nodes = sorted(inst.graph.nodes)
-    source, target = nodes[0], nodes[-1]
-    expected = _all_simple_paths(inst.graph, source, target)[:k]
-    got = k_shortest_paths(inst.graph, source, target, k)
-    assert [(p.length, p.nodes) for p in got] == expected
+    table = _completed(inst, k)
+    for source, target in table.pairs:
+        got = table.candidates[(source, target)]
+        assert [(p.length, p.nodes) for p in got] == _all_simple_paths(inst.graph, source, target)[:k]
 
 
 def test_enumerate_paths_pairs_exclude_identical(plant21):
@@ -260,5 +262,6 @@ def test_enumerate_paths_lists_only_what_the_first_pick_needs(plant21):
     table.complete()
     assert sum(len(c) for c in table.candidates.values()) > listed
     for source, target in table.pairs:
-        assert list(table.candidates[(source, target)]) == k_shortest_paths(plant21.graph, source, target, 10)
+        got = table.candidates[(source, target)]
+        assert [(p.length, p.nodes) for p in got] == _all_simple_paths(plant21.graph, source, target)[:10]
     assert combo.selection == _argmin_selection(table)

@@ -9,16 +9,15 @@ from comsat.instance import END_JOB, START_JOB
 from comsat.oracle import brute_oracle
 from comsat.paths import enumerate_paths, pathfinder
 from comsat.pipeline import SolverConfig, SolveStatus, solve
-from comsat.routing import router
+from comsat.routing import RouteSearch, router
 from comsat.validation import validate
 
 from conftest import make_instance
 
 
-def _solve_routes(inst, prev=()):
-    table = enumerate_paths(inst, 10)
-    combo = pathfinder(table)
-    return combo, router(inst, combo, list(prev))
+def _solve_routes(inst):
+    combo = pathfinder(enumerate_paths(inst, 10))
+    return combo, router(RouteSearch(inst, combo))
 
 
 def test_degenerate_route_at_depot():
@@ -161,11 +160,16 @@ def test_multi_task_job_is_one_ordered_block(build):
     assert validate(inst, result.schedule, result.assignment).ok
 
 
+def _sequences(routes):
+    """The task sequences of a route set, which its arc set determines."""
+    return frozenset(tuple((v.job, v.task) for v in r.visits) for r in routes.routes)
+
+
 def test_blocking_returns_different_dir_model(plant21):
-    combo, first = _solve_routes(plant21)
-    second = router(plant21, combo, [first])
+    search = RouteSearch(plant21, pathfinder(enumerate_paths(plant21, 10)))
+    first, second = router(search), router(search)
     assert second is not None
-    assert set(second.chosen_dirs) != set(first.chosen_dirs)
+    assert _sequences(second) != _sequences(first)
 
 
 @pytest.mark.parametrize("first, second", [
@@ -292,10 +296,40 @@ def test_route_count_minimal_vs_brute_force(seed):
     inst = generate(GenParams(nodes=8, vehicles=3, jobs=3, edge_reduction=0, horizon=25, seed=seed))
     table = enumerate_paths(inst, 10)
     combo = pathfinder(table)
-    routes = router(inst, combo, [])
+    routes = router(RouteSearch(inst, combo))
     expected = _min_vehicles_brute(inst, combo)
     if expected is None:
         assert routes is None
     else:
         assert routes is not None
         assert len(routes.routes) == expected
+
+
+def _route_set_count_brute(inst, combo):
+    """How many route sets the router admits: each is a set of feasible
+    routes that serves every job once, in one block of precedence order."""
+    count = 0
+    for partition in _ordered_partitions(list(inst.customer_jobs())):
+        sets = 1
+        for block in partition:
+            sets *= sum(
+                _earliest_feasible(inst, combo, [j.task(name) for j, order in zip(block, orders) for name in order])
+                for orders in itertools.product(*[list(_orderings(j)) for j in block])
+            )
+        count += sets
+    return count
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_one_search_lists_every_route_set_once(jobs, seed):
+    inst = generate(GenParams(nodes=8, vehicles=3, jobs=jobs, edge_reduction=0, horizon=25, seed=seed))
+    combo = pathfinder(enumerate_paths(inst, 10))
+    search = RouteSearch(inst, combo)
+    listed = []
+    while (routes := router(search)) is not None:
+        listed.append(routes)
+    assert len(set(map(_sequences, listed))) == len(listed)
+    sizes = [len(rs.routes) for rs in listed]
+    assert sizes == sorted(sizes)
+    assert len(listed) == _route_set_count_brute(inst, combo)

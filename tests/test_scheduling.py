@@ -6,7 +6,7 @@ import pytest
 
 from comsat.assignment import Assignment, assign
 from comsat.paths import enumerate_paths, pathfinder
-from comsat.routing import router
+from comsat.routing import RouteSearch, router
 from comsat.scheduling import expand_routes, schedule_from_json, scheduler
 
 from conftest import make_instance
@@ -15,14 +15,13 @@ from conftest import make_instance
 def _pipeline(inst, max_paths=10):
     table = enumerate_paths(inst, max_paths)
     combo = pathfinder(table)
-    prev = []
+    search = RouteSearch(inst, combo)
     while True:
-        routes = router(inst, combo, prev)
+        routes = router(search)
         assert routes is not None, "fixture should be routable"
         asg = assign(inst, routes)
         if asg is not None:
             return combo, routes, asg
-        prev.append(routes)
 
 
 def test_expand_depot_only_route():
@@ -53,15 +52,7 @@ def test_expand_line_trace_out_and_back(line3):
 
 
 def test_expand_plant21_job_d_follows_selected_paths(plant21):
-    table = enumerate_paths(plant21, 10)
-    combo = pathfinder(table)
-    prev = []
-    while True:
-        routes = router(plant21, combo, prev)
-        asg = assign(plant21, routes)
-        if asg is not None:
-            break
-        prev.append(routes)
+    combo, routes, asg = _pipeline(plant21)
     traces = expand_routes(routes, combo, asg)
     for route, trace in zip(routes.routes, traces):
         rebuilt = [route.visits[0].location]
@@ -73,7 +64,7 @@ def test_expand_plant21_job_d_follows_selected_paths(plant21):
 def test_single_route_earliest_times(line3):
     combo, routes, asg = _pipeline(line3)
     traces = expand_routes(routes, combo, asg)
-    sched = scheduler(line3, traces, asg)
+    sched = scheduler(line3, traces)
     assert sched is not None
     st = sched.traces[0]
     # No contention: node/edge entries hug the start and travel times.
@@ -85,7 +76,7 @@ def test_single_route_earliest_times(line3):
 def test_edge_and_node_precedence_invariants(plant21):
     combo, routes, asg = _pipeline(plant21)
     traces = expand_routes(routes, combo, asg)
-    sched = scheduler(plant21, traces, asg)
+    sched = scheduler(plant21, traces)
     assert sched is not None
     for st in sched.traces:
         for p, edge in enumerate(st.trace.edges):
@@ -115,7 +106,7 @@ def test_head_on_micro_fixture_matches_exhaustive_enumeration():
     tx = RouteTrace(0, "R1", 0, (0, 1), ((0, None), (0, None)), (out_edge,))
     ty = RouteTrace(1, "R2", 0, (1, 0), ((0, None), (0, None)), (back_edge,))
     asg = Assignment(vehicles=("R1", "R2"), starts=(0, 0), ends=(2, 2))
-    sched = scheduler(inst, [tx, ty], asg)
+    sched = scheduler(inst, [tx, ty])
     assert sched is not None
     (ex,) = sched.traces[0].edge_times
     (ey,) = sched.traces[1].edge_times
@@ -149,7 +140,7 @@ def test_head_on_through_pipeline_corridor():
     )
     combo, routes, asg = _pipeline(inst)
     traces = expand_routes(routes, combo, asg)
-    sched = scheduler(inst, traces, asg)
+    sched = scheduler(inst, traces)
     assert sched is not None
     spans = {"out": [], "back": []}
     for st in sched.traces:
@@ -175,7 +166,7 @@ def test_same_instant_node_entries_are_separated():
     )
     combo, routes, asg = _pipeline(inst)
     traces = expand_routes(routes, combo, asg)
-    sched = scheduler(inst, traces, asg)
+    sched = scheduler(inst, traces)
     assert sched is not None
     visits = []  # (arrive, depart) at node 2 per trace
     for st in sched.traces:
@@ -191,7 +182,7 @@ def test_same_instant_node_entries_are_separated():
 def test_schedule_json_round_trip(plant21):
     combo, routes, asg = _pipeline(plant21)
     traces = expand_routes(routes, combo, asg)
-    sched = scheduler(plant21, traces, asg)
+    sched = scheduler(plant21, traces)
     assert any(st.trace.serves for st in sched.traces)
     text = sched.to_json()
     again = schedule_from_json(text, plant21)
@@ -225,7 +216,7 @@ def test_capacity_two_segment_overlaps_transits(capacity):
     windows = ((0, None),) * 4
     traces = [RouteTrace(i, v, 0, (0, 1, 2, 0), windows, edges) for i, v in enumerate(["R1", "R2"])]
     asg = Assignment(vehicles=("R1", "R2"), starts=(0, 0), ends=(5, 5))
-    sched = scheduler(inst, traces, asg)
+    sched = scheduler(inst, traces)
     if capacity == 1:
         assert sched is None
         return

@@ -3,7 +3,9 @@
     python3 tools/fingerprint.py [--src DIR] > fingerprint.jsonl
 
 Each line holds the instance label, the verdict, the six loop counters,
-how many times ``Engine.solve`` ran and a hash of the schedule and
+how many times ``Engine.solve`` ran, a hash of every engine input (the
+``atom_at``, ``int_bounds``, ``clauses``, ``cards`` and ``objective`` that
+each ``Engine(ctx)`` reads, in call order) and a hash of the schedule and
 assignment JSON (null unless sat).  The instances are every entry of
 ``perfbench/tiny_oracle.json`` and the ``perfbench/sweep_pool.json``
 entries recorded as decided within ``FAST_S``, solved at the caps those
@@ -39,14 +41,19 @@ def main() -> int:
     from comsat.generate import GenParams, generate
 
     solves = 0
-    original = Engine.solve
+    inputs = hashlib.sha256()
+    original_init, original_solve = Engine.__init__, Engine.solve
+
+    def hashed(self, ctx, *args, **kwargs):
+        inputs.update(repr((ctx.atom_at, ctx.int_bounds, ctx.clauses, ctx.cards, ctx.objective)).encode())
+        original_init(self, ctx, *args, **kwargs)
 
     def counted(self):
         nonlocal solves
         solves += 1
-        return original(self)
+        return original_solve(self)
 
-    Engine.solve = counted
+    Engine.__init__, Engine.solve = hashed, counted
 
     items = []
     for entry in json.loads(TINY.read_text())["entries"]:
@@ -64,6 +71,7 @@ def main() -> int:
 
     for label, inst, cfg in items:
         solves = 0
+        inputs = hashlib.sha256()
         result = solve(inst, cfg)
         digest = None
         if result.schedule is not None:
@@ -74,6 +82,7 @@ def main() -> int:
             "verdict": result.status.value,
             **{name: result.stats[name] for name in COUNTERS},
             "engine_solves": solves,
+            "engine_inputs": inputs.hexdigest()[:16],
             "schedule": digest,
         }))
     return 0
